@@ -38,7 +38,6 @@ from .fronts import (
     fan_delta_trajectory,
     intersect,
     shock_left_trace,
-    strength_integrate,
     strength_rate,
 )
 from .interact import (
@@ -63,6 +62,6 @@ __all__ = [
     "characteristic_in_fan", "classify", "eigenvalues",
     "fan_delta_trajectory", "fan_solution", "intersect", "rh_deficit", "run",
     "sample", "shock_left_trace", "solve_grp", "solve_riemann",
-    "split_strength", "strength_integrate", "strength_rate",
+    "split_strength", "strength_rate",
     "v_star", "validate_scenario",
 ]

@@ -404,8 +404,6 @@ class WCurvedV(FieldLaw):
         t = np.asarray(t, dtype=float)
         return t * (self.u2 + 2.0 + np.log(ts) - np.log(t))
 
-    _contact_pos = singular_locus
-
     def from_distance(self, d, t):
         t = np.asarray(t, dtype=float)
         g0 = np.asarray(d, dtype=float) / t
@@ -414,7 +412,7 @@ class WCurvedV(FieldLaw):
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        d = x - self._contact_pos(t)
+        d = x - self.singular_locus(t)
         scale = 1.0 + np.abs(x)
         g0 = np.where(d <= _MARKER_TOL * scale, -1.0, d) / t
         val = _curved_value(g0, t, self.B, self.v2, np.sqrt(t) - self.B)

@@ -1,6 +1,17 @@
 """Curve algebra: fan-interior trajectories, breakdown detection,
-characteristics, intersections, and the singular profiles next to
-bifurcated fronts."""
+characteristics, intersections, and the singular trace behind a bifurcated
+shock.
+
+Front geometries are lines, square-root curves x = xc + u_k y + K sqrt(y)
+and log characteristics x = xc + y (C - ln y), with y = t - tc measured
+from a fan center.  Their crossings are closed forms, with no scanning:
+a line meets a line linearly, a sqrt curve by a quadratic in sqrt(y), and a
+log curve through y = exp(C - m) when it passes through the center or else
+through a z - ln z = b with z = 1/y; a sqrt curve meets a log curve of the
+same center through the same equation in z = 1/sqrt(y).  That equation's
+roots are Lambert W values, found by Halley's iteration.  A tangential
+contact (a double root, to within rounding of the terms) is no crossing.
+"""
 
 from __future__ import annotations
 
@@ -9,21 +20,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import (
-    CurveGeometry,
-    Line,
-    LogCurve,
-    Point,
-    SqrtCurve,
-    State,
-    TabulatedStrength,
-    WCurvedV,
-    WStraightV,
-    WTildeCurvedV,
-)
+from .core import INF, CurveGeometry, Line, LogCurve, Point, SqrtCurve, State
 from .riemann import rh_deficit
-
-_REL = 1e-12
 
 
 def fan_delta_trajectory(entry: Point, u_const: float, fan_center: Point) -> SqrtCurve:
@@ -69,29 +67,36 @@ def characteristic_in_fan(through: Point, fan_center: Point) -> LogCurve:
     return LogCurve(C, fan_center.t, fan_center.x, t_lo=through.t)
 
 
-def _bisect(f: Callable, lo: float, hi: float, iters: int = 200) -> float:
-    flo = f(lo)
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if (f(mid) > 0.0) == (flo > 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def line_crossings(line: Line, geom: CurveGeometry, lo: float,
+                   hi: float) -> list[float]:
+    """Ascending times t in (lo, hi) at which ``geom`` crosses ``line``
+    transversally, in closed form; tangential contacts are no crossing.
+
+    With y = t - tc and D = line(tc) - xc for a curve centered at (tc, xc):
+    a Line gives a linear equation; a SqrtCurve a quadratic in s = sqrt(y);
+    a LogCurve y (C - m - ln y) = D, which is y = exp(C - m) for D = 0 and
+    otherwise D z - ln z = C - m in z = 1/y (see ``_log_roots``).
+    """
+    if isinstance(geom, Line):
+        dm = line.m - geom.m
+        num = (geom.x0 - geom.m * geom.t0) - (line.x0 - line.m * line.t0)
+        ts = [num / dm] if dm != 0.0 else []
+    elif isinstance(geom, SqrtCurve):
+        ts = _line_sqrt(line, geom)
+    elif isinstance(geom, LogCurve):
+        x_at_tc = line.x0 + line.m * (geom.tc - line.t0)
+        D = x_at_tc - geom.xc
+        b = geom.C - line.m
+        terms = abs(geom.C) + abs(line.m)
+        if D != 0.0:  # the rounding of D, relative to D, reaches ln D
+            terms += (abs(x_at_tc) + abs(geom.xc)) / abs(D)
+        ts = [geom.tc + math.exp(w) for w in _log_roots(D, b, terms)]
+    else:
+        raise TypeError(f"unsupported geometry {type(geom)}")
+    return [t for t in ts if lo < t < hi]
 
 
-def _line_line(a: Line, b: Line, after: float) -> Optional[float]:
-    dm = a.m - b.m
-    num = (b.x0 - b.m * b.t0) - (a.x0 - a.m * a.t0)
-    if dm == 0.0:
-        return None
-    t = num / dm
-    return t if t > after else None
-
-
-def _line_sqrt(a: Line, b: SqrtCurve, after: float) -> Optional[float]:
+def _line_sqrt(a: Line, b: SqrtCurve) -> list[float]:
     # in s = sqrt(t - tc):  (m - u_k) s^2 - K s + (line(tc) - xc) = 0
     ca = a.m - b.u_k
     cb = -b.K
@@ -104,99 +109,94 @@ def _line_sqrt(a: Line, b: SqrtCurve, after: float) -> Optional[float]:
         disc = cb * cb - 4.0 * ca * cc
         scale = cb * cb + abs(4.0 * ca * cc)
         if abs(disc) <= 1e-14 * max(scale, 1e-300):
-            return None  # grazing contact: tangency, no transversal event
+            return []  # grazing contact: tangency, no transversal event
         if disc < 0.0:
-            return None
+            return []
         sq = math.sqrt(disc)
         roots = [(-cb - sq) / (2.0 * ca), (-cb + sq) / (2.0 * ca)]
-    ts = sorted(b.tc + s * s for s in roots if s > 0.0)
-    for t in ts:
-        if t > after:
-            return t
-    return None
+    return sorted(b.tc + s * s for s in roots if s > 0.0)
 
 
-def _line_log(a: Line, b: LogCurve, after: float) -> Optional[float]:
-    # closed form when the line passes through the log curve's center
-    x_at_tc = a.x0 + a.m * (b.tc - a.t0)
-    if abs(x_at_tc - b.xc) <= 1e-14 * (1.0 + abs(b.xc)):
-        t = b.tc + math.exp(b.C - a.m)
-        return t if t > after else None
-    return _scan_root(lambda t: b.pos(t) - a.pos(t), max(after, b.t_lo), after,
-                      scale=lambda t: 1.0 + abs(a.pos(t)) + abs(b.pos(t)))
+_EPS = float(np.finfo(float).eps)
+_TANGENT_ULPS = 8.0
+_HALLEY_MAX = 8  # safety cap; from the guesses below 4 steps reach full precision
 
 
-def _sqrt_log(a: SqrtCurve, b: LogCurve, after: float) -> Optional[float]:
-    lo = max(after, a.t_lo, b.t_lo)
-    return _scan_root(lambda t: b.pos(t) - a.pos(t), lo, after,
-                      scale=lambda t: 1.0 + abs(a.pos(t)) + abs(b.pos(t)))
+def _log_roots(a: float, b: float, terms: float) -> list[float]:
+    """Ascending w = -ln z over the transversal roots z > 0 of a z - ln z = b.
 
-
-def _scan_root(f: Callable, lo: float, after: float,
-               scale: Callable = None) -> Optional[float]:
-    """Bracketed first root of f past ``lo`` by geometric scanning, or None.
-
-    Samples whose magnitude sits below the floating-point noise floor carry
-    no sign information (curves that touch tangentially hover there), so sign
-    changes are only trusted between samples that clear the floor.
+    For a > 0 the left side is strictly convex with minimum 1 + ln a at
+    z = 1/a, so g = b - 1 - ln a alone decides the root count: two for
+    g > 0, none for g < 0, and for g = 0 a double root, a tangency that is
+    no event.  g counts as zero up to a few ulps of ``terms``, the sum of
+    the magnitudes whose rounding reaches b - ln a.  For a <= 0 the left
+    side decreases strictly and there is exactly one root.  The roots are
+    z = -W(-a e^-b)/a on the W_0 and W_-1 branches of Lambert W (Corless et
+    al., "On the Lambert W function", 1996), found by Halley's iteration on
+    L = ln|a z|.
     """
-    if lo <= 0.0:
-        lo = 1e-12
-    if scale is None:
-        scale = lambda t: 1.0 + abs(t)
+    if a == 0.0:
+        return [b]
+    ln_a = math.log(abs(a))
+    if a < 0.0:
+        # v = -a z solves v + ln v = 1 + g
+        g = ln_a - b - 1.0
+        L = 0.5 * g if g <= 0.0 else math.log(1.0 + g - math.log1p(g))
+        return [ln_a - _halley(L, g, +1.0)]
+    g = b - 1.0 - ln_a
+    if g <= _TANGENT_ULPS * _EPS * (terms + abs(ln_a) + 1.0):
+        return []
+    # u = a z solves u - ln u = 1 + g, with one root either side of u = 1:
+    # branch-point series for small g, asymptotics for large g
+    if g <= 1.0:
+        p = math.sqrt(2.0 * g)
+        guesses = (p - p * p / 6.0, -p - p * p / 6.0)
+    else:
+        c = 1.0 + g
+        guesses = (math.log(c + math.log(c + math.log(c))), math.exp(-c) - c)
+    return [ln_a - _halley(L, g, -1.0) for L in guesses]
 
-    def floor(t):
-        return 1e-11 * scale(t)
 
-    t_prev = lo * (1.0 + 1e-9)
-    f_prev = f(t_prev)
-    step = max(t_prev * 0.1, 1e-6)
-    for _ in range(260):
-        t_next = t_prev + step
-        f_next = f(t_next)
-        if (f_prev * f_next < 0.0 and abs(f_prev) > floor(t_prev)
-                and abs(f_next) > floor(t_next)):
-            root = _bisect(f, t_prev, t_next)
-            # polish with a secant step
-            h = 1e-7 * (1.0 + root)
-            d = (f(root + h) - f(root - h)) / (2.0 * h)
-            if d != 0.0:
-                root -= f(root) / d
-            return root if root > after else None
-        if abs(f_next) > floor(t_next):
-            t_prev, f_prev = t_next, f_next
-        step *= 1.35
-    return None
+def _halley(L: float, g: float, sigma: float) -> float:
+    """Root of e^L - 1 + sigma L = g by Halley's iteration from L."""
+    for _ in range(_HALLEY_MAX):
+        e = math.exp(L)
+        f = math.expm1(L) + sigma * L - g
+        d1 = e + sigma
+        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * e)
+        L -= step
+        if abs(step) <= 2.0 * _EPS * (1.0 + abs(L)):
+            break
+    return L
 
 
 def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Point]:
     """Earliest transversal intersection of two front geometries with
     t > after, or None.  Grazing (tangential) contacts count as no event.
+
+    Supported pairs, all in closed form: a Line with any geometry (see
+    ``line_crossings``), and a SqrtCurve with a LogCurve of the same fan
+    center, where (K/2) z - ln z = (C - u_k)/2 in z = 1/sqrt(t - tc).  A
+    scenario has one fan with one fan-interior front at a time, so two
+    SqrtCurves, or a SqrtCurve and LogCurve of different centers, never
+    meet; they raise TypeError.
     """
-    t = None
-    if isinstance(a, Line) and isinstance(b, Line):
-        t = _line_line(a, b, after)
-    elif isinstance(a, Line) and isinstance(b, SqrtCurve):
-        t = _line_sqrt(a, b, after)
-    elif isinstance(a, SqrtCurve) and isinstance(b, Line):
-        t = _line_sqrt(b, a, after)
-    elif isinstance(a, Line) and isinstance(b, LogCurve):
-        t = _line_log(a, b, after)
-    elif isinstance(a, LogCurve) and isinstance(b, Line):
-        t = _line_log(b, a, after)
-    elif isinstance(a, SqrtCurve) and isinstance(b, LogCurve):
-        t = _sqrt_log(a, b, after)
-    elif isinstance(a, LogCurve) and isinstance(b, SqrtCurve):
-        t = _sqrt_log(b, a, after)
-    elif isinstance(a, SqrtCurve) and isinstance(b, SqrtCurve):
-        if (a.tc, a.xc) == (b.tc, b.xc) and a.u_k == b.u_k:
-            return None  # same family: identical or disjoint
-        t = _scan_root(lambda tt: b.pos(tt) - a.pos(tt),
-                       max(after, a.t_lo, b.t_lo), after)
+    if not isinstance(a, Line):
+        a, b = b, a
+    if isinstance(a, Line):
+        ts = line_crossings(a, b, after, INF)
+    elif ({type(a), type(b)} == {SqrtCurve, LogCurve}
+          and (a.tc, a.xc) == (b.tc, b.xc)):
+        sq, lg = (a, b) if isinstance(a, SqrtCurve) else (b, a)
+        # in s = sqrt(t - tc):  s (C - u_k - 2 ln s) = K
+        ws = _log_roots(0.5 * sq.K, 0.5 * (lg.C - sq.u_k),
+                        0.5 * (abs(lg.C) + abs(sq.u_k)))
+        ts = [t for t in (sq.tc + math.exp(2.0 * w) for w in ws) if t > after]
     else:
         raise TypeError(f"unsupported geometry pair {type(a)}, {type(b)}")
-    if t is None:
+    if not ts:
         return None
+    t = ts[0]
     return Point(t, 0.5 * (a.pos(t) + b.pos(t)))
 
 
@@ -224,23 +224,6 @@ def shock_left_trace(curve: SqrtCurve, right_u: Callable, right_v: Callable,
     return trace
 
 
-def w_straight_profile(B: float, u0: float, v_ref: float, u_ref: float,
-                       y_edge: float) -> WStraightV:
-    """Field law for the straight-characteristic singular region (the
-    constant-u0 pocket between a breakdown delta contact and the shock)."""
-    return WStraightV(B, u0, v_ref, u_ref, y_edge)
-
-
-def w_curved_profile(B: float, v2: float, u2: float) -> WCurvedV:
-    """Field law for the fan-interior singular region behind the shock."""
-    return WCurvedV(B, v2, u2)
-
-
-def w_tilde_profile(u0: float, B: float, v2: float, u2: float) -> WTildeCurvedV:
-    """Prolongation of the curved profile across the fan edge x = u0 t."""
-    return WTildeCurvedV(u0, B, v2, u2)
-
-
 def strength_rate(speed, left, right):
     """Instantaneous growth rate of a delta strength: the deficit
     c'[v] - [(u-1)v] with the given one-sided traces."""
@@ -249,10 +232,3 @@ def strength_rate(speed, left, right):
     uL, vL = left
     uR, vR = right
     return speed * (vR - vL) - ((uR - 1.0) * vR - (uL - 1.0) * vL)
-
-
-def strength_integrate(rate_fn: Callable, t0: float, t1: float, gamma0: float,
-                       panels: int = 64) -> TabulatedStrength:
-    """Integrate a smooth explicit-in-t rate into a tabulated strength law
-    with alpha(t0) = gamma0."""
-    return TabulatedStrength(rate_fn, t0, t1, gamma0, panels=panels)

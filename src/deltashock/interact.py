@@ -34,16 +34,16 @@ from .core import (
     Solution,
     SqrtCurve,
     State,
+    TabulatedStrength,
+    WCurvedV,
+    WStraightV,
+    WTildeCurvedV,
 )
 from .fronts import (
     breakdown_time,
     characteristic_in_fan,
     fan_delta_trajectory,
     intersect,
-    strength_integrate,
-    w_curved_profile,
-    w_straight_profile,
-    w_tilde_profile,
 )
 from .riemann import WaveCase, rh_deficit, solve_grp, v_star
 
@@ -178,7 +178,6 @@ class _Tracker:
         return fid
 
     def _check_overcompressive(self, f: Front):
-        from .core import TabulatedStrength
         if f.breakdown_t is not None:
             t_hi = f.breakdown_t
         elif isinstance(f.strength, TabulatedStrength):
@@ -395,7 +394,7 @@ class _Tracker:
             vR = v_r_law(x, t)
             return cp * (vR - vL) - ((uR - 1.0) * vR - (uL - 1.0) * vL)
 
-        law = strength_integrate(rate, ev.t, t_end, gamma0)
+        law = TabulatedStrength(rate, ev.t, t_end, gamma0)
         fid = self._new_front(FrontKind.DELTA_SHOCK, curve, lrid, rrid,
                               strength=law, birth=ev.t,
                               breakdown_t=t_s if schedule_breakdown else None)
@@ -416,8 +415,8 @@ class _Tracker:
             fan_v: FanExpV = right.v_law
             w_rid = self._new_region(
                 ConstLaw(u0),
-                w_straight_profile(B, u0, fan_v.v_ref, fan_v.u_ref,
-                                   x_s - (u0 - 1.0) * t_s),
+                WStraightV(B, u0, fan_v.v_ref, fan_v.u_ref,
+                           x_s - (u0 - 1.0) * t_s),
                 "w-straight")
             f1 = self._new_front(FrontKind.DELTA_CONTACT,
                                  Line(t_s, x_s, u0 - 1.0, t_lo=t_s),
@@ -431,7 +430,7 @@ class _Tracker:
             center = Point(left.u_law.tc, left.u_law.xc)
             gamma_curve = characteristic_in_fan(Point(t_s, x_s), center)
             w_rid = self._new_region(FanU(center.t, center.x),
-                                     w_curved_profile(B, st_r.v, st_r.u),
+                                     WCurvedV(B, st_r.v, st_r.u),
                                      "w-curved")
             f1 = self._new_front(FrontKind.DELTA_CONTACT, gamma_curve,
                                  lrid, w_rid,
@@ -487,7 +486,7 @@ class _Tracker:
         wlaw = w_curved.v_law
         gamma = dc.strength(ev.t)
         w_tilde_rid = self._new_region(
-            ConstLaw(u0), w_tilde_profile(u0, wlaw.B, wlaw.v2, wlaw.u2),
+            ConstLaw(u0), WTildeCurvedV(u0, wlaw.B, wlaw.v2, wlaw.u2),
             "w-tilde")
         f_dc = self._new_front(FrontKind.DELTA_CONTACT,
                                Line(ev.t, ev.x, u0 - 1.0, t_lo=ev.t),
@@ -525,13 +524,6 @@ def run(sc: Scenario) -> Solution:
     ``t_max_computed`` only bounding default sampling horizons.
     """
     return _Tracker(sc).track()
-
-
-def next_event(sol_or_tracker, after: float = None):
-    """Earliest pending interaction of a tracker state (diagnostic helper)."""
-    if isinstance(sol_or_tracker, _Tracker):
-        return sol_or_tracker.next_event()
-    raise TypeError("next_event operates on an in-progress tracker")
 
 
 def fan_solution(left: State, right: State, gamma: float = 0.0,

@@ -4,7 +4,10 @@ rarefaction fans by many small non-physical shocks.
 
 The weak residual of an exact solution is zero up to quadrature tolerance;
 nothing in here reuses the closed forms the tracker integrates, so agreement
-is evidence, not tautology.
+is evidence, not tautology.  The times at which fronts cross the edges of a
+test function's box come from the tracker's own intersection algebra
+(``fronts.line_crossings``), but they only place quadrature cuts: they
+affect the quadrature's accuracy, not what the residual measures.
 """
 
 from __future__ import annotations
@@ -19,11 +22,13 @@ from .core import (
     AffineStrength,
     FrontKind,
     INF,
+    Line,
     Scenario,
     Solution,
     SqrtCurve,
     State,
 )
+from .fronts import line_crossings
 from .interact import validate_scenario
 from .riemann import WaveCase, classify, rh_deficit
 
@@ -138,31 +143,6 @@ def random_test_functions(sol: Solution, count: int, seed: int,
 # quadrature over a solution
 # ---------------------------------------------------------------------------
 
-def _box_crossing_times(front, t_lo: float, t_hi: float, X: float):
-    """Times in (t_lo, t_hi) where the front crosses the vertical line x = X,
-    found by dense sampling plus bisection (robust for every geometry)."""
-    a = max(t_lo, front.birth)
-    b = min(t_hi, front.death)
-    if not (b > a):
-        return []
-    ts = np.linspace(a, b, 129)
-    vals = np.asarray(front.geom.pos(ts)) - X
-    out = []
-    sign = np.sign(vals)
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        lo, hi = ts[i], ts[i + 1]
-        flo = vals[i]
-        for _ in range(80):
-            mid = 0.5 * (lo + hi)
-            fm = front.geom.pos(mid) - X
-            if (fm > 0.0) == (flo > 0.0):
-                lo, flo = mid, fm
-            else:
-                hi = mid
-        out.append(0.5 * (lo + hi))
-    return out
-
-
 def _time_cells(sol: Solution, t_lo: float, t_hi: float,
                 x_lo: Optional[float] = None, x_hi: Optional[float] = None):
     """Split [t_lo, t_hi] at epoch boundaries and (when an x-window is given)
@@ -174,10 +154,9 @@ def _time_cells(sol: Solution, t_lo: float, t_hi: float,
             cuts.add(ep.t0)
     if x_lo is not None:
         for f in sol.fronts.values():
+            lo, hi = max(t_lo, f.birth), min(t_hi, f.death)
             for X in (x_lo, x_hi):
-                for t in _box_crossing_times(f, t_lo, t_hi, X):
-                    if t_lo < t < t_hi:
-                        cuts.add(t)
+                cuts.update(line_crossings(Line(0.0, X, 0.0), f.geom, lo, hi))
     cs = sorted(cuts)
     return [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1e-15 * (1.0 + abs(b))]
 

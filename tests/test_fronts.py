@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import Line, LogCurve, Point, SqrtCurve
+from deltashock.core import Line, LogCurve, Point, SqrtCurve, TabulatedStrength
 from deltashock.fronts import (
     breakdown_time,
     characteristic_in_fan,
     fan_delta_trajectory,
     intersect,
+    line_crossings,
     shock_left_trace,
-    strength_integrate,
     strength_rate,
 )
 from deltashock.interact import run
@@ -99,6 +99,75 @@ def test_intersect_line_log_closed_form():
     edge = Line(0.0, 0.0, 1.0)
     p = intersect(edge, c1, after=2.0)
     assert p.t == pytest.approx(2.0 * math.e, rel=1e-12)
+    # off the center: a close transversal pair around the curve's maximum
+    # x = 1 at t = 1, which a scan over t steps across
+    line, curve = Line(0.0, 0.999, 0.0), LogCurve(1.0)
+    p1 = intersect(line, curve, after=0.01)
+    assert p1.t == pytest.approx(0.955613, abs=1e-6)
+    p2 = intersect(curve, line, after=p1.t)
+    assert p2.t == pytest.approx(1.045053, abs=1e-6)
+    for p in (p1, p2):
+        assert curve.pos(p.t) == pytest.approx(0.999, abs=1e-12)
+    assert intersect(line, curve, after=p2.t) is None
+    # touching the maximum is tangency
+    assert intersect(Line(0.0, 1.0, 0.0), curve, after=0.01) is None
+
+
+def test_intersect_sqrt_log_shared_center():
+    # the breakdown pair (delta contact on a characteristic, shock on the
+    # continued sqrt curve) is tangent at breakdown and meets nowhere else
+    for name in ("case5_bif_left", "case5_bif_mid"):
+        sol = run(BATTERY[name])
+        bd = next(e for e in sol.events if e.rule == "BreakdownBifurcation")
+        contact, shock = (sol.fronts[f].geom for f in bd.outgoing)
+        assert isinstance(contact, LogCurve) and isinstance(shock, SqrtCurve)
+        assert intersect(contact, shock, after=bd.t * (1.0 + 1e-9)) is None
+        assert intersect(shock, contact, after=0.0) is None
+    # transversal: two crossings for K > 0, one for K < 0
+    for shock, curve, count in ((SqrtCurve(0.0, 2.0 * math.sqrt(2.0)),
+                                 LogCurve(3.5), 2),
+                                (SqrtCurve(4.0, -math.sqrt(6.0)),
+                                 LogCurve(1.0), 1)):
+        after, ts = 0.0, []
+        while (p := intersect(shock, curve, after)) is not None:
+            assert shock.pos(p.t) == pytest.approx(curve.pos(p.t), abs=1e-12,
+                                                   rel=1e-12)
+            ts.append(p.t)
+            after = p.t
+        assert len(ts) == count
+
+
+def test_intersect_unsupported_pairs_raise():
+    with pytest.raises(TypeError):
+        intersect(SqrtCurve(0.0, 1.0), SqrtCurve(1.0, -1.0), after=0.0)
+    with pytest.raises(TypeError):
+        intersect(SqrtCurve(0.0, 1.0), LogCurve(1.0, tc=0.5), after=0.0)
+    with pytest.raises(TypeError):
+        intersect(LogCurve(2.0), LogCurve(1.0), after=0.0)
+
+
+@pytest.mark.parametrize("geom, X", [
+    (Line(0.0, 2.0, -1.5), 0.5),
+    (SqrtCurve(4.0, -math.sqrt(6.0)), -0.3),     # two crossings
+    (SqrtCurve(0.0, 2.0 * math.sqrt(2.0)), 3.0),
+    (LogCurve(1.0), 0.999),                       # close pair
+    (LogCurve(2.0 + math.log(2.0)), 4.0),
+    (LogCurve(1.0), -2.0),                        # x = X left of the center
+    (LogCurve(0.3, tc=0.005, xc=1.0), 1.0),       # x = X through the center
+])
+def test_line_crossings_match_dense_sampling(geom, X):
+    lo, hi = 0.01, 12.0
+    ts = np.linspace(lo, hi, 1_000_001)
+    f = np.asarray(geom.pos(ts)) - X
+    brackets = np.nonzero(np.sign(f[:-1]) * np.sign(f[1:]) < 0)[0]
+    got = line_crossings(Line(0.0, X, 0.0), geom, lo, hi)
+    assert len(got) == len(brackets) > 0
+    for t, k in zip(got, brackets):
+        assert ts[k] <= t <= ts[k + 1]
+        assert float(geom.pos(t)) == pytest.approx(X, abs=1e-12, rel=1e-12)
+    # the interval is open at both ends
+    assert line_crossings(Line(0.0, X, 0.0), geom, got[0], got[-1]) \
+        == got[1:-1]
 
 
 def test_shock_left_trace_case5_form():
@@ -136,7 +205,7 @@ def test_strength_rate_continuous_at_fan_entry():
 
 
 def test_strength_integrate_constant_rate():
-    law = strength_integrate(lambda t: 3.0 + 0.0 * t, 0.5, 2.0, gamma0=1.0)
+    law = TabulatedStrength(lambda t: 3.0 + 0.0 * t, 0.5, 2.0, gamma0=1.0)
     assert law(2.0) == pytest.approx(1.0 + 4.5, abs=1e-12)
 
 

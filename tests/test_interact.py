@@ -56,29 +56,66 @@ def test_validate_scenario_rejections():
     assert validate_scenario(sc(8, 3, 0, +1.0)) == (1, "1")
 
 
-EXPECTED_RULES = {
-    "case1": ["MergeDeltas"],
-    "case2": ["DeltaCrossesContact", "ShockHitsDelta"],
-    "case3": ["ShockHitsDelta", "DeltaCrossesContact"],
-    "case4i": ["DeltaCrossesContact", "DeltaEntersFan", "FrontExitsFan"],
-    "case4iia": ["DeltaCrossesContact", "DeltaEntersFan",
-                 "BreakdownBifurcation"],
-    "case4iib": ["DeltaCrossesContact", "DeltaEntersFan",
-                 "BreakdownBifurcation", "FrontExitsFan"],
-    "case4iic": ["DeltaCrossesContact", "DeltaEntersFan",
-                 "BreakdownBifurcation", "FrontExitsFan"],
-    "case5_bif_left": ["DeltaEntersFan", "BreakdownBifurcation",
-                       "ContactContinuation"],
-    "case5_bif_mid": ["DeltaEntersFan", "BreakdownBifurcation",
-                      "ContactContinuation", "FrontExitsFan"],
-    "case5_nobif": ["DeltaEntersFan", "FrontExitsFan", "DeltaCrossesContact"],
+# the full battery event table, (t, x, rule) per event
+EXPECTED_EVENTS = {
+    "case1": [(0.3333333333333333, 0.5, "MergeDeltas")],
+    "case2": [
+        (0.3333333333333333, 0.33333333333333326, "DeltaCrossesContact"),
+        (0.4, 0.6000000000000001, "ShockHitsDelta"),
+    ],
+    "case3": [
+        (0.6666666666666666, 2.4, "ShockHitsDelta"),
+        (1.4666666666666668, 4.4, "DeltaCrossesContact"),
+    ],
+    "case4i": [
+        (0.4, 0.0, "DeltaCrossesContact"),
+        (0.6666666666666666, 0.6666666666666665, "DeltaEntersFan"),
+        (0.96, 1.4400000000000002, "FrontExitsFan"),
+    ],
+    "case4iia": [
+        (0.4, 0.0, "DeltaCrossesContact"),
+        (0.6666666666666666, 0.6666666666666665, "DeltaEntersFan"),
+        (1.4999999999999998, 2.9999999999999996, "BreakdownBifurcation"),
+    ],
+    "case4iib": [
+        (0.4, 0.0, "DeltaCrossesContact"),
+        (0.6666666666666666, 0.6666666666666665, "DeltaEntersFan"),
+        (1.4999999999999998, 2.9999999999999996, "BreakdownBifurcation"),
+        (23.999999999999996, 83.99999999999999, "FrontExitsFan"),
+    ],
+    "case4iic": [
+        (0.4, 0.0, "DeltaCrossesContact"),
+        (0.6666666666666666, 0.6666666666666665, "DeltaEntersFan"),
+        (1.4999999999999998, 2.9999999999999996, "BreakdownBifurcation"),
+        (2.666666666666666, 6.666666666666665, "FrontExitsFan"),
+    ],
+    "case5_bif_left": [
+        (0.5, 2.0, "DeltaEntersFan"),
+        (1.9999999999999996, 3.999999999999999, "BreakdownBifurcation"),
+        (40.17107384637532, -40.17107384637532, "ContactContinuation"),
+    ],
+    "case5_bif_mid": [
+        (0.5, 2.0, "DeltaEntersFan"),
+        (1.9999999999999996, 3.999999999999999, "BreakdownBifurcation"),
+        (5.436563656918088, 5.436563656918088, "ContactContinuation"),
+        (7.999999999999998, 7.999999999999998, "FrontExitsFan"),
+    ],
+    "case5_nobif": [
+        (0.5, 2.0, "DeltaEntersFan"),
+        (0.8888888888888886, 2.666666666666666, "FrontExitsFan"),
+        (2.666666666666666, 5.333333333333332, "DeltaCrossesContact"),
+    ],
 }
 
 
 @pytest.mark.parametrize("name", list(BATTERY))
 def test_battery_event_sequences(name):
     sol = run(BATTERY[name])
-    assert [e.rule for e in sol.events] == EXPECTED_RULES[name]
+    expected = EXPECTED_EVENTS[name]
+    assert [e.rule for e in sol.events] == [rule for _, _, rule in expected]
+    for e, (t, x, _) in zip(sol.events, expected):
+        assert math.isclose(e.t, t, rel_tol=1e-12)
+        assert math.isclose(e.x, x, rel_tol=1e-12)
     assert sol.complete
 
 
