@@ -2,7 +2,8 @@
 front samples, field grids, atom tables and x-t wave diagrams, plus the
 verification and fan-oracle subcommands.
 
-Exit codes: 0 success, 2 invalid scenario/input, 3 verification failure.
+Exit codes: 0 success, 2 invalid scenario/input, 3 verification failure,
+4 tracking failure (the front tracker could not resolve an interaction).
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import FrontKind, Line, LogCurve, Scenario, Solution, SqrtCurve, State
-from .evaluate import sample
-from .interact import ScenarioError, run, validate_scenario
+from .evaluate import atom_table, fields
+from .interact import ScenarioError, TrackingError, run, validate_scenario
 from .riemann import solve_grp
 from . import verify as V
 
@@ -102,6 +103,15 @@ def _front_times(front, t_max: float, n: int = 64):
     return np.linspace(lo, t1, n)
 
 
+def _grid_rows(head: str, t_grid, vals) -> list:
+    """CSV lines of a field grid: the header, then per time row the time and
+    the row's values in %.12g, which writes the same text as
+    ``format(x, ".12g")``, inf and -inf included."""
+    row = ",".join(["%.12g"] * (vals.shape[1] + 1))
+    return [head] + [row % tuple(r)
+                     for r in np.column_stack([t_grid, vals]).tolist()]
+
+
 def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
          window=None, svg: bool = True) -> list:
     """Write events.json, fronts.csv, u.csv, v.csv, atoms.csv and (optionally)
@@ -140,29 +150,24 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
         ts = _front_times(f, t_max)
         if ts is None:
             continue
-        for t in ts:
-            x = f.geom.pos(t)
-            if f.strength is not None:
-                a = f.strength(t)
-                a0, a1 = f.split(t)
-                lines.append(f"{f.fid},{f.kind.value},{_fmt(t)},{_fmt(x)},"
-                             f"{_fmt(a)},{_fmt(float(a0))},{_fmt(float(a1))}")
-            else:
-                lines.append(f"{f.fid},{f.kind.value},{_fmt(t)},{_fmt(x)},,,")
+        cols, tail = [ts, f.geom.pos(ts)], ",,,"
+        if f.strength is not None:
+            cols, tail = cols + list(f.atom(ts)), ""
+        row = f"{f.fid},{f.kind.value}," + ",".join(["%.12g"] * len(cols)) + tail
+        lines += [row % tuple(r) for r in np.column_stack(cols).tolist()]
     p = out / "fronts.csv"
     p.write_text("\n".join(lines) + "\n")
     written.append(p)
 
-    head = "t," + ",".join(_fmt(x) for x in x_grid)
-    u_rows, v_rows, atom_rows = [head], [head], ["t,front_id,x,alpha,alpha0,alpha1"]
-    for t in t_grid:
-        s = sample(sol, float(t), x_grid)
-        u_rows.append(_fmt(t) + "," + ",".join(_fmt(u) for u in s.u_vals))
-        v_rows.append(_fmt(t) + "," + ",".join(_fmt(v) for v in s.v_regular_vals))
-        for a in s.atoms:
-            atom_rows.append(f"{_fmt(t)},{a.front_id},{_fmt(a.x)},"
-                             f"{_fmt(a.alpha)},{_fmt(a.alpha0)},{_fmt(a.alpha1)}")
-    for name, rows in (("u.csv", u_rows), ("v.csv", v_rows),
+    head = "t," + ",".join(["%.12g"] * nx) % tuple(x_grid.tolist())
+    u, v = fields(sol, t_grid, x_grid)
+    atom_rows = ["t,front_id,x,alpha,alpha0,alpha1"]
+    for t, atoms in zip(t_grid.tolist(), atom_table(sol, t_grid)):
+        atom_rows += ["%.12g,%d,%.12g,%.12g,%.12g,%.12g"
+                      % (t, a.front_id, a.x, a.alpha, a.alpha0, a.alpha1)
+                      for a in atoms]
+    for name, rows in (("u.csv", _grid_rows(head, t_grid, u)),
+                       ("v.csv", _grid_rows(head, t_grid, v)),
                        ("atoms.csv", atom_rows)):
         p = out / name
         p.write_text("\n".join(rows) + "\n")
@@ -215,8 +220,8 @@ def render_svg(sol: Solution, window, t_max: float,
         keep = (xs >= x0 - 0.02 * (x1 - x0)) & (xs <= x1 + 0.02 * (x1 - x0))
         if not np.any(keep):
             continue
-        pts = " ".join(f"{px(x):.2f},{py(t):.2f}"
-                       for t, x in zip(ts[keep], xs[keep]))
+        xy = np.column_stack([px(xs[keep]), py(ts[keep])])
+        pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         style, _ = _KIND_STYLE[f.kind]
         parts.append(f'<polyline fill="none" {style} points="{pts}"/>')
     for e in sol.events:
@@ -374,6 +379,9 @@ def main(argv=None) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except TrackingError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,10 +22,8 @@ _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
 
 
 def _returns_like(t, values):
-    """Return a scalar if ``t`` was scalar, else the ndarray ``values``."""
-    if np.isscalar(t) or (isinstance(t, np.ndarray) and t.ndim == 0):
-        return float(values)
-    return values
+    """Return a float if the array ``t`` is 0-d, else the ndarray ``values``."""
+    return float(values) if t.ndim == 0 else values
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +233,11 @@ class TabulatedStrength(StrengthLaw):
         mid = 0.5 * (a + tq)
         half = 0.5 * (tq - a)
         ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        partial = (np.asarray(self._rate(ts), dtype=float) @ _GL_WEIGHTS) * half
+        # a row-wise sum, not a matrix product: BLAS rounds a row differently
+        # with the number of rows, and alpha(t) must not depend on what else
+        # is queried with t
+        vals = np.asarray(self._rate(ts), dtype=float)
+        partial = np.sum(vals * _GL_WEIGHTS, axis=1) * half
         out = self.alpha_nodes[k] + partial
         return float(out[0]) if scalar else out
 
@@ -538,15 +540,17 @@ class Front:
         uL = np.asarray(u_left(t), dtype=float)
         uR = np.asarray(u_right(t), dtype=float)
         du = uL - uR
-        w0 = np.where(np.abs(du) < 1e-12, 0.5,
-                      (np.asarray(self.geom.slope(t)) - uR + 1.0)
-                      / np.where(np.abs(du) < 1e-12, 1.0, du))
+        even = np.abs(du) < 1e-12
+        w0 = np.where(even, 0.5, (np.asarray(self.geom.slope(t)) - uR + 1.0)
+                      / np.where(even, 1.0, du))
         return _returns_like(t, w0)
 
-    def split(self, t):
+    def atom(self, t):
+        """(alpha, alpha0, alpha1): the strength at t and its left- and
+        right-sided components."""
         a = self.strength(t)
         w0 = self.split_fraction(t)
-        return a * w0, a * (1.0 - np.asarray(w0))
+        return a, a * w0, a * (1.0 - np.asarray(w0))
 
 
 @dataclass(frozen=True)
@@ -610,7 +614,6 @@ class Solution:
     events: list
     epochs: list
     t_max_computed: float
-    complete: bool = False
 
     def epoch_at(self, t: float) -> Epoch:
         if t < 0.0:
@@ -619,11 +622,3 @@ class Solution:
             if t >= ep.t0:
                 return ep
         return self.epochs[0]
-
-    def front_positions(self, t: float, epoch: Epoch | None = None):
-        ep = epoch or self.epoch_at(t)
-        return [self.fronts[f].geom.pos(t) for f in ep.fronts]
-
-    def atom_fronts_at(self, t: float):
-        return [f for f in self.fronts.values()
-                if f.kind.carries_atom and f.alive_at(t)]

@@ -1,8 +1,16 @@
-"""Pointwise sampling of a Solution: u, the regular part of v, and the
-delta atoms alive at a given time with positions, strengths, and splits."""
+"""Sampling of a Solution: u, the regular part of v, and the delta atoms
+alive at given times with positions, strengths, and splits.
+
+``fields`` evaluates a whole (t, x) grid with a handful of array operations
+per epoch and per region; ``atom_table`` evaluates every carrying front once
+on all the times at which it is alive.  ``sample`` and ``atoms_at`` are their
+one-time cases, so a row of the grid is bit-identical to the sample at that
+time.
+"""
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,47 +38,96 @@ class Sample:
     atoms: tuple
 
 
+def _times(ts):
+    """The query times as a flat array and as a list of floats."""
+    ts = np.asarray(ts, dtype=float).reshape(-1)
+    tl = ts.tolist()
+    if min(tl, default=1.0) <= 0.0:
+        raise ValueError("sampling requires t > 0")
+    return ts, tl
+
+
+def fields(sol: Solution, ts, xs):
+    """u and the regular part of v on the grid ``ts`` x ``xs``.
+
+    Returns two arrays of shape (len(ts), len(xs)), one row per time.
+    Queries within 1e-12 of a front resolve to the left region (documented
+    convention).  Points essentially on a singular profile boundary come
+    back as signed infinities, never as silently huge finite numbers.
+    """
+    ts, tl = _times(ts)
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    # the region of every point, located epoch by epoch
+    rid = np.empty((len(ts), len(xs)), dtype=np.intp)
+    starts = [ep.t0 for ep in sol.epochs]
+    which = np.array([max(bisect_right(starts, t) - 1, 0) for t in tl])
+    for e in set(which.tolist()):
+        ep = sol.epochs[e]
+        rows = (which == e).nonzero()[0]
+        idx = np.zeros((len(rows), len(xs)), dtype=np.intp)
+        if ep.fronts:
+            # pos[j, 1 + f]: front f at time j, after a NaN column; idx
+            # counts the fronts at or left of x, then points on the nearest
+            # of them (pos[j, idx], NaN when there is none) move to its left
+            t_rows = ts[rows]
+            pos = np.array([np.full(len(rows), np.nan)]
+                           + [sol.fronts[f].geom.pos(t_rows) for f in ep.fronts]).T
+            idx = (pos[:, 1:, None] <= xs).sum(axis=1)
+            prev = pos[np.arange(len(rows))[:, None], idx]
+            idx -= np.abs(xs - prev) <= _ON_FRONT_TOL * (1.0 + np.abs(prev))
+        rid[rows] = np.array(ep.regions)[idx]
+    # each region's laws once, on all of its points
+    t = np.empty(rid.shape)
+    t[:] = ts[:, None]
+    x = np.empty(rid.shape)
+    x[:] = xs
+    u = np.empty(rid.shape)
+    v = np.empty(rid.shape)
+    for r in np.bincount(rid.ravel()).nonzero()[0]:
+        reg = sol.regions[r]
+        m = rid == r
+        u[m] = reg.u_law(x[m], t[m])
+        v[m] = reg.v_law(x[m], t[m])
+    return u, v
+
+
+def atom_table(sol: Solution, ts) -> list:
+    """The delta atoms alive at each of ``ts``: one tuple of Atoms per time,
+    sorted by position, ties in front order.
+
+    Every strength-carrying front is evaluated once, on all the times at
+    which it is alive; the split components come from the front's
+    delta'-coefficient rule.
+    """
+    ts, tl = _times(ts)
+    rows = []
+    for f in sol.fronts.values():
+        if f.strength is None:
+            continue
+        k = [j for j, t in enumerate(tl) if f.alive_at(t)]
+        if k:
+            t = ts[k]
+            cols = (f.geom.pos(t), *f.atom(t))
+            rows += zip(k, *(c.tolist() for c in cols), [f.fid] * len(k))
+    rows.sort(key=lambda r: r[:2])     # stable: ties keep front order
+    table = [[] for _ in tl]
+    for j, *atom in rows:
+        table[j].append(Atom(*atom))
+    return [tuple(atoms) for atoms in table]
+
+
 def atoms_at(sol: Solution, t: float):
     """All delta atoms alive at time t, sorted by position.
 
     One entry per strength-carrying front; the split components come from
     the front's delta'-coefficient rule.
     """
-    if t <= 0.0:
-        raise ValueError("atoms are defined for t > 0")
-    out = []
-    for f in sol.atom_fronts_at(t):
-        a = f.strength(t)
-        a0, a1 = f.split(t)
-        out.append(Atom(f.geom.pos(t), a, a0, a1, f.fid))
-    out.sort(key=lambda a: a.x)
-    return tuple(out)
+    return atom_table(sol, t)[0]
 
 
 def sample(sol: Solution, t: float, xs) -> Sample:
-    """Evaluate u and the regular part of v at positions ``xs``.
-
-    Queries within 1e-12 of a front resolve to the left region (documented
-    convention).  Points essentially on a singular profile boundary come back
-    as signed infinities, never as silently huge finite numbers.
-    """
-    if t <= 0.0:
-        raise ValueError("sampling requires t > 0")
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    ep = sol.epoch_at(t)
-    pos = np.array([sol.fronts[f].geom.pos(t) for f in ep.fronts], dtype=float)
-    idx = np.searchsorted(pos, xs, side="right")
-    if len(pos):
-        near = idx >= 1
-        shift = np.zeros_like(idx, dtype=bool)
-        shift[near] = np.abs(xs[near] - pos[idx[near] - 1]) \
-            <= _ON_FRONT_TOL * (1.0 + np.abs(pos[idx[near] - 1]))
-        idx[shift] -= 1
-    u = np.empty_like(xs)
-    v = np.empty_like(xs)
-    for k in np.unique(idx):
-        reg = sol.regions[ep.regions[k]]
-        m = idx == k
-        u[m] = reg.u_law(xs[m], t)
-        v[m] = reg.v_law(xs[m], t)
-    return Sample(t, xs, u, v, atoms_at(sol, t))
+    """Evaluate u and the regular part of v at positions ``xs`` (the
+    one-row case of ``fields``), with the atoms alive at t."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    u, v = fields(sol, t, xs)
+    return Sample(t, xs, u[0], v[0], atoms_at(sol, t))

@@ -513,7 +513,7 @@ class _Tracker:
             self.resolve(ev)
         return Solution(self.sc, self.case_id, self.case_label,
                         self.regions, self.fronts, self.events, self.epochs,
-                        t_max_computed=self.sc.t_max, complete=True)
+                        t_max_computed=self.sc.t_max)
 
 
 def run(sc: Scenario) -> Solution:
@@ -543,10 +543,10 @@ def fan_solution(left: State, right: State, gamma: float = 0.0,
     if not fan.fronts:
         tr.epochs.append(Epoch(0.0, INF, (), (rid_l,)))
         return Solution(None, 0, "riemann", tr.regions, tr.fronts, [],
-                        tr.epochs, t_max_computed=t_max, complete=True)
+                        tr.epochs, t_max_computed=t_max)
     rid_r = tr._new_region(ConstLaw(right.u), ConstLaw(right.v), "right")
     fids, _ = tr._materialize_fan(fan, rid_l, rid_r)
     fronts = tuple(fids)
     tr.epochs.append(Epoch(0.0, INF, fronts, tr._regions_for(fronts, rid_l, rid_r)))
     return Solution(None, 0, "riemann", tr.regions, tr.fronts, [], tr.epochs,
-                    t_max_computed=t_max, complete=True)
+                    t_max_computed=t_max)

@@ -265,8 +265,7 @@ def weak_residual(sol: Solution, phi: TestFunction,
             for f, c in zip(fronts, pos):
                 if not f.kind.carries_atom:
                     continue
-                alpha = np.asarray(f.strength(tn))
-                a0, a1 = f.split(tn)
+                alpha, a0, a1 = f.atom(tn)
                 u_left, _, u_right, _ = f.traces
                 m = (np.asarray(a0) * (np.asarray(u_left(tn)) - 1.0)
                      + np.asarray(a1) * (np.asarray(u_right(tn)) - 1.0))

@@ -1,10 +1,14 @@
 import json
 
+import numpy as np
 import pytest
 
-from deltashock.cli import emit, main, parse_scenario, scenario_to_dict
+from deltashock.battery import BATTERY
+from deltashock.cli import _front_times, emit, main, parse_scenario, scenario_to_dict
 from deltashock.core import State
-from deltashock.interact import fan_solution
+from deltashock.evaluate import sample
+from deltashock.interact import fan_solution, run
+from deltashock.verify import auto_window
 
 
 @pytest.fixture
@@ -40,6 +44,17 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
+
+
+def test_tracking_failure_exits_4(tmp_path, capsys):
+    # an exact u-gap of 2: the tracker cannot pass the delta through the fan
+    p = tmp_path / "gap2.json"
+    json.dump({"states": [[-2, 1], [0, 1], [-2, 1]], "offset": 1.0},
+              p.open("w"))
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: degenerate fan passage")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_solve_writes_outputs(case1_file, tmp_path, capsys):
@@ -96,3 +111,42 @@ def test_solve_outputs_deterministic(case1_file, tmp_path):
     for name in ("events.json", "fronts.csv", "u.csv", "v.csv", "atoms.csv",
                  "diagram.svg"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def _reference_files(sol, nx, nt, window):
+    """fronts.csv, u.csv, v.csv and atoms.csv as a per-point loop writes
+    them: ``sample`` per time row, ``format(x, ".12g")`` per value."""
+    fmt = lambda x: format(float(x), ".12g")
+    t_max = sol.t_max_computed
+    x_grid = np.linspace(window[0], window[1], nx)
+    head = "t," + ",".join(fmt(x) for x in x_grid)
+    u_rows, v_rows = [head], [head]
+    atom_rows = ["t,front_id,x,alpha,alpha0,alpha1"]
+    for t in np.linspace(t_max / nt, t_max, nt):
+        s = sample(sol, float(t), x_grid)
+        u_rows.append(",".join(fmt(x) for x in [t, *s.u_vals]))
+        v_rows.append(",".join(fmt(x) for x in [t, *s.v_regular_vals]))
+        for a in s.atoms:
+            atom_rows.append(",".join([fmt(t), str(a.front_id)] + [
+                fmt(x) for x in (a.x, a.alpha, a.alpha0, a.alpha1)]))
+    front_rows = ["front_id,kind,t,x,alpha,alpha0,alpha1"]
+    for f in sorted(sol.fronts.values(), key=lambda f: f.fid):
+        ts = _front_times(f, t_max)
+        for t in [] if ts is None else ts:
+            vals = [t, f.geom.pos(t)]
+            if f.strength is not None:
+                vals += f.atom(t)
+            cells = [fmt(x) for x in vals] + [""] * (5 - len(vals))
+            front_rows.append(",".join([str(f.fid), f.kind.value] + cells))
+    return {name: "\n".join(rows) + "\n" for name, rows in (
+        ("fronts.csv", front_rows), ("u.csv", u_rows), ("v.csv", v_rows),
+        ("atoms.csv", atom_rows))}
+
+
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_emit_matches_per_point_reference(name, tmp_path):
+    sol = run(BATTERY[name])
+    window = auto_window(sol, sol.t_max_computed, pad=0.5)
+    emit(sol, tmp_path, nx=41, nt=17, window=window, svg=False)
+    for fname, text in _reference_files(sol, 41, 17, window).items():
+        assert (tmp_path / fname).read_text() == text, fname

@@ -92,6 +92,15 @@ def test_tabulated_strength_matches_reference_quadrature():
         law(3.0)
 
 
+def test_tabulated_strength_independent_of_batch():
+    # a time's strength has the same bits whether queried alone or in a batch
+    law = TabulatedStrength(lambda t: np.exp(-t) * np.cos(5.0 * t), 0.3, 4.0,
+                            gamma0=2.0)
+    ts = np.linspace(0.3, 4.0, 1001)
+    assert np.array_equal(law(ts), [law(float(t)) for t in ts])
+    assert np.array_equal(law(ts[::7]), law(ts)[::7])
+
+
 def test_w_straight_profile_value_and_blowup():
     # fan (v2=1, u2=3), u0=4, B^2 = 3/2: at distance B^2 past the contact
     # the back-traced time is 4 B^2 and the value is 3

