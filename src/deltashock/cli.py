@@ -332,6 +332,16 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="deltashock",
@@ -357,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the residual battery on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--tests", type=int, default=200)
+    p.add_argument("--tests", type=_positive_int, default=200)
     p.add_argument("--seed", type=int, default=1234)
     p.add_argument("--tol", type=float, default=1e-6)
     p.set_defaults(func=_cmd_verify)

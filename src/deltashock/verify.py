@@ -29,10 +29,12 @@ from .core import (
     State,
 )
 from .fronts import line_crossings
-from .interact import validate_scenario
+from .interact import ScenarioError, validate_scenario
 from .riemann import WaveCase, classify, rh_deficit
 
 _GL_CACHE: dict = {}
+_ORDER = 16        # Gauss points per panel of the weak and entropy pairings
+_MASS_ORDER = 20   # Gauss points per panel of the mass integrals
 
 
 def _gl(n: int):
@@ -41,7 +43,7 @@ def _gl(n: int):
     return _GL_CACHE[n]
 
 
-def _composite01(panels: int, order: int = 16):
+def _composite01(panels: int, order: int):
     """Composite Gauss-Legendre nodes/weights on (0, 1)."""
     key = ("c01", panels, order)
     if key not in _GL_CACHE:
@@ -143,20 +145,19 @@ def random_test_functions(sol: Solution, count: int, seed: int,
 # quadrature over a solution
 # ---------------------------------------------------------------------------
 
-def _time_cells(sol: Solution, t_lo: float, t_hi: float,
-                x_lo: Optional[float] = None, x_hi: Optional[float] = None):
-    """Split [t_lo, t_hi] at epoch boundaries and (when an x-window is given)
-    at the times fronts enter or leave the window, so every cell's integrand
-    varies on the cell's own scale."""
+def _time_cells(sol: Solution, t_lo: float, t_hi: float, x_lo: float,
+                x_hi: float):
+    """Split [t_lo, t_hi] at epoch boundaries and at the times fronts enter
+    or leave the window [x_lo, x_hi], so every cell's integrand varies on the
+    cell's own scale."""
     cuts = {t_lo, t_hi}
     for ep in sol.epochs:
         if t_lo < ep.t0 < t_hi:
             cuts.add(ep.t0)
-    if x_lo is not None:
-        for f in sol.fronts.values():
-            lo, hi = max(t_lo, f.birth), min(t_hi, f.death)
-            for X in (x_lo, x_hi):
-                cuts.update(line_crossings(Line(0.0, X, 0.0), f.geom, lo, hi))
+    for f in sol.fronts.values():
+        lo, hi = max(t_lo, f.birth), min(t_hi, f.death)
+        for X in (x_lo, x_hi):
+            cuts.update(line_crossings(Line(0.0, X, 0.0), f.geom, lo, hi))
     cs = sorted(cuts)
     return [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1e-15 * (1.0 + abs(b))]
 
@@ -186,36 +187,137 @@ def _x_nodes(lo, hi, panels, order, off=None):
     return x, wts, None
 
 
-def _sing_offset(reg, lo, t):
-    """Distance from interval starts to the singular locus (None when the
-    region's v-law is regular).
+def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
+           panels: Callable, order: int, eps: Optional[float] = None):
+    """Quadrature over the region pieces of one epoch at the time nodes
+    ``tn``, where ``pos`` holds the positions of the epoch's ``fronts``.
 
-    Noise-level offsets snap to zero: sqrt() in the graded parametrization
-    would otherwise turn 1e-15 of position round-off into a missing boundary
-    sliver of visible mass ~ sqrt(1e-15).
+    Each region is clipped to [x_lo, x_hi] row by row.  With ``eps``, the
+    strips of width eps on both sides of every atom front are pieces of their
+    own, on which v is the atom spread evenly, alpha/(2 eps).  Yields
+    (rows, t, x, wx, u, v) per piece: the mask of its non-empty rows, their
+    times as a column, x nodes and weights (``panels(width)`` panels of
+    ``order`` points, sized by the widest row), and u and v at the nodes.
     """
-    if not reg.singular_left:
-        return None
-    locus = np.asarray(reg.v_law.singular_locus(t))
-    off = lo - locus
-    off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
-    return off
+    nf = len(fronts)
+    for k, rid in enumerate(ep.regions):
+        reg = sol.regions[rid]
+        lo = pos[k - 1] if k > 0 else np.full_like(tn, x_lo)
+        hi = pos[k] if k < nf else np.full_like(tn, x_hi)
+        lo_main, hi_main, pieces = lo, hi, []
+        if eps is not None:
+            if k > 0 and fronts[k - 1].kind.carries_atom:
+                pieces.append((lo, np.minimum(lo + eps, hi), fronts[k - 1]))
+                lo_main = lo + eps
+            if k < nf and fronts[k].kind.carries_atom:
+                pieces.append((np.maximum(hi - eps, lo), hi, fronts[k]))
+                hi_main = hi - eps
+        pieces.append((lo_main, hi_main, None))
+        for a, b, owner in pieces:
+            a = np.maximum(a, x_lo)
+            b = np.minimum(b, x_hi)
+            rows = b - a > 0.0
+            if not np.any(rows):
+                continue
+            a, b, t = a[rows], b[rows], tn[rows]
+            off = None
+            if owner is None and reg.singular_left:
+                # distance to the blow-up locus; noise-level offsets snap to
+                # zero, since sqrt() in the graded parametrization would turn
+                # 1e-15 of position round-off into a missing boundary sliver
+                # of visible mass ~ sqrt(1e-15)
+                locus = np.asarray(reg.v_law.singular_locus(t))
+                off = a - locus
+                off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
+            x, wx, dist = _x_nodes(a, b, panels(float(np.max(b - a))), order,
+                                   off)
+            tt = t[:, None]
+            u = np.asarray(reg.u_law(x, tt))
+            if owner is not None:
+                v = np.asarray(owner.strength(t))[:, None] / (2.0 * eps)
+            elif dist is not None and hasattr(reg.v_law, "from_distance"):
+                v = np.asarray(reg.v_law.from_distance(dist, tt))
+            else:
+                v = np.asarray(reg.v_law(x, tt))
+            yield rows, tt, x, wx, u, v
 
 
-def _v_eval(reg, x, t, d):
-    """Region v values; graded nodes go through the law's distance-based
-    evaluator."""
-    if d is not None and hasattr(reg.v_law, "from_distance"):
-        return np.asarray(reg.v_law.from_distance(d, t))
-    return np.asarray(reg.v_law(x, t))
+def _panels_for(width, scale):
+    return int(np.clip(math.ceil(3.0 * width / max(scale, 1e-300)), 1, 8))
 
 
-def _panels_for(width, scale, cap=8):
-    return int(np.clip(math.ceil(3.0 * width / max(scale, 1e-300)), 1, cap))
+def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None,
+             atoms: bool = False) -> list:
+    """Per component, int int rho phi_t + f phi_x over the support of ``phi``
+    plus the initial term int rho(u0, v0) phi(0, x) dx, where each of
+    ``laws`` maps (u, v) to its component's (rho, f).
+
+    The last component is v's and may carry the solution's delta atoms.  With
+    ``atoms`` they enter as measures: per atom front the line integral of
+    alpha phi_t + m phi_x with the split-product flux
+    m = alpha0 (uL-1) + alpha1 (uR-1), and the initial atoms in the initial
+    term.  With ``eps`` they are spread over strips beside their fronts (see
+    ``_slabs``).  With neither, an atom front inside the support is an error.
+    """
+    t_lo = max(0.0, phi.tc - phi.st)
+    t_hi = phi.tc + phi.st
+    x_lo = phi.xc - phi.sx
+    x_hi = phi.xc + phi.sx
+    R = [0.0] * len(laws)
+    cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi) if t_hi > t_lo else []
+    for (a, b) in cells:
+        ep = sol.epoch_at(0.5 * (a + b))
+        xi, wxi = _composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
+        tn = a + (b - a) * xi
+        tw = (b - a) * wxi
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        pos = [f.geom.pos(tn) for f in fronts]
+        if eps is None and not atoms and any(
+                f.kind.carries_atom and np.any((p > x_lo) & (p < x_hi))
+                for f, p in zip(fronts, pos)):
+            raise ValueError("an atom front crosses the test function "
+                             "support; pass eps for the strip regularization")
+        for rows, tt, x, wx, u, v in _slabs(
+                sol, ep, fronts, pos, tn, x_lo, x_hi,
+                lambda width: _panels_for(width, phi.sx), _ORDER, eps):
+            tw_r = tw[rows]
+            pt = phi.dt(tt, x)
+            px = phi.dx(tt, x)
+            for i, law in enumerate(laws):
+                rho, flux = law(u, v)
+                R[i] += float(np.sum(tw_r * np.sum(wx * (rho * pt + flux * px),
+                                                   axis=1)))
+        if atoms:
+            for f, c in zip(fronts, pos):
+                if not f.kind.carries_atom:
+                    continue
+                alpha, a0, a1 = f.atom(tn)
+                u_left, _, u_right, _ = f.traces
+                m = (np.asarray(a0) * (np.asarray(u_left(tn)) - 1.0)
+                     + np.asarray(a1) * (np.asarray(u_right(tn)) - 1.0))
+                R[-1] += float(np.sum(tw * (alpha * phi.dt(tn, c)
+                                            + m * phi.dx(tn, c))))
+    if phi.tc - phi.st < 0.0 < t_hi:
+        init = [0.0] * len(laws)
+        ep = sol.epochs[0]
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        t0 = np.zeros(1)
+        pos = [f.geom.pos(t0) for f in fronts]
+        for _, _, x, w, u, v in _slabs(sol, ep, fronts, pos, t0, x_lo, x_hi,
+                                       lambda width: 6, _ORDER):
+            p0 = phi.value(0.0, x)
+            for i, law in enumerate(laws):
+                init[i] += float(np.sum(w * law(u, v)[0] * p0))
+        for f, c in zip(fronts, pos):
+            if atoms and f.kind.carries_atom:
+                g0 = float(f.strength(0.0))
+                if g0 != 0.0:
+                    init[-1] += g0 * float(phi.value(0.0, c[0]))
+        R = [r + i for r, i in zip(R, init)]
+    return R
 
 
-def weak_residual(sol: Solution, phi: TestFunction,
-                  order: int = 16) -> tuple[float, float]:
+def weak_residual(sol: Solution, phi: TestFunction) -> tuple[float, float]:
     """Distributional residuals (R_u, R_v) of the solution against ``phi``.
 
     R_u = int u phi_t + (u^2/2) phi_x + initial term; R_v likewise with flux
@@ -224,90 +326,9 @@ def weak_residual(sol: Solution, phi: TestFunction,
     Both vanish (to quadrature tolerance) iff the fields, speeds, strengths
     and splits jointly satisfy the weak formulation.
     """
-    t_lo = max(0.0, phi.tc - phi.st)
-    t_hi = phi.tc + phi.st
-    x_lo_box = phi.xc - phi.sx
-    x_hi_box = phi.xc + phi.sx
-    Ru = 0.0
-    Rv = 0.0
-    if t_hi > t_lo:
-        for (a, b) in _time_cells(sol, t_lo, t_hi, x_lo_box, x_hi_box):
-            ep = sol.epoch_at(0.5 * (a + b))
-            tp = max(4, _panels_for(b - a, phi.st))
-            xi, wxi = _composite01(tp, order)
-            tn = a + (b - a) * xi
-            tw = (b - a) * wxi
-            fronts = [sol.fronts[f] for f in ep.fronts]
-            pos = [f.geom.pos(tn) for f in fronts]
-            nf = len(fronts)
-            for k, rid in enumerate(ep.regions):
-                reg = sol.regions[rid]
-                bound = pos[k - 1] if k > 0 else np.full_like(tn, x_lo_box)
-                hi = pos[k] if k < nf else np.full_like(tn, x_hi_box)
-                lo = np.maximum(bound, x_lo_box)
-                hi = np.minimum(hi, x_hi_box)
-                rows = hi - lo > 0.0
-                if not np.any(rows):
-                    continue
-                lo_r, hi_r, tn_r, tw_r = lo[rows], hi[rows], tn[rows], tw[rows]
-                xp = _panels_for(float(np.max(hi_r - lo_r)), phi.sx)
-                off_r = _sing_offset(reg, lo_r, tn_r)
-                x, wx, dist = _x_nodes(lo_r, hi_r, xp, order, off_r)
-                tt = tn_r[:, None]
-                u = np.asarray(reg.u_law(x, tt))
-                v = _v_eval(reg, x, tt, dist)
-                pt = phi.dt(tt, x)
-                px = phi.dx(tt, x)
-                Ru += float(np.sum(tw_r * np.sum(wx * (u * pt + 0.5 * u * u * px),
-                                                 axis=1)))
-                Rv += float(np.sum(tw_r * np.sum(wx * (v * pt + (u - 1.0) * v * px),
-                                                 axis=1)))
-            for f, c in zip(fronts, pos):
-                if not f.kind.carries_atom:
-                    continue
-                alpha, a0, a1 = f.atom(tn)
-                u_left, _, u_right, _ = f.traces
-                m = (np.asarray(a0) * (np.asarray(u_left(tn)) - 1.0)
-                     + np.asarray(a1) * (np.asarray(u_right(tn)) - 1.0))
-                Rv += float(np.sum(tw * (alpha * phi.dt(tn, c) + m * phi.dx(tn, c))))
-    if phi.tc - phi.st < 0.0 < t_hi:
-        iu, iv = _initial_terms(sol, phi, order)
-        Ru += iu
-        Rv += iv
-    return Ru, Rv
-
-
-def _initial_segments(sol: Solution, x_lo: float, x_hi: float):
-    """Piecewise-constant initial data segments inside [x_lo, x_hi]."""
-    ep = sol.epochs[0]
-    fronts = [sol.fronts[f] for f in ep.fronts]
-    pos = [f.geom.pos(0.0) for f in fronts]
-    segs = []
-    for k, rid in enumerate(ep.regions):
-        lo = pos[k - 1] if k > 0 else x_lo
-        hi = pos[k] if k < len(fronts) else x_hi
-        lo, hi = max(lo, x_lo), min(hi, x_hi)
-        if hi - lo > 0.0:
-            segs.append((lo, hi, sol.regions[rid]))
-    return segs
-
-
-def _initial_terms(sol: Solution, phi: TestFunction, order: int):
-    x_lo, x_hi = phi.xc - phi.sx, phi.xc + phi.sx
-    xi, wxi = _composite01(6, order)
-    iu = iv = 0.0
-    for lo, hi, reg in _initial_segments(sol, x_lo, x_hi):
-        x = lo + (hi - lo) * xi
-        w = (hi - lo) * wxi
-        p0 = phi.value(0.0, x)
-        iu += float(np.sum(w * np.asarray(reg.u_law(x, 0.0)) * p0))
-        iv += float(np.sum(w * np.asarray(reg.v_law(x, 0.0)) * p0))
-    for f in sol.fronts.values():
-        if f.kind.carries_atom and f.birth == 0.0:
-            g0 = float(f.strength(0.0))
-            if g0 != 0.0:
-                iv += g0 * float(phi.value(0.0, f.geom.pos(0.0)))
-    return iu, iv
+    ru, rv = _pairing(sol, phi, (lambda u, v: (u, 0.5 * u * u),
+                                 lambda u, v: (v, (u - 1.0) * v)), atoms=True)
+    return ru, rv
 
 
 def weak_residual_rel(sol: Solution, phi: TestFunction) -> float:
@@ -331,26 +352,19 @@ def auto_window(sol: Solution, t_hi: float, pad: float = 1.0):
     return lo - pad, hi + pad
 
 
-def _mass_at(sol: Solution, t: float, X0: float, X1: float,
-             order: int = 20) -> float:
+def _mass_at(sol: Solution, t: float, X0: float, X1: float) -> float:
     ep = sol.epoch_at(t)
     fronts = [sol.fronts[f] for f in ep.fronts]
-    pos = [f.geom.pos(t) for f in fronts]
-    if pos and (min(pos) <= X0 or max(pos) >= X1):
+    tn = np.array([t])
+    pos = [f.geom.pos(tn) for f in fronts]
+    if any(p[0] <= X0 or p[0] >= X1 for p in pos):
         raise ValueError(f"fronts exit the window [{X0}, {X1}] at t={t}")
     total = 0.0
-    for k, rid in enumerate(ep.regions):
-        reg = sol.regions[rid]
-        bound = pos[k - 1] if k > 0 else X0
-        hi = pos[k] if k < len(fronts) else X1
-        lo, hi = max(bound, X0), min(hi, X1)
-        if hi - lo <= 0.0:
-            continue
-        panels = int(np.clip(math.ceil((hi - lo) / 0.2), 4, 40))
-        lo_arr = np.array([lo])
-        off = _sing_offset(reg, lo_arr, np.array([t]))
-        x, w, dist = _x_nodes(lo_arr, np.array([hi]), panels, order, off)
-        total += float(np.sum(w * _v_eval(reg, x, t, dist)))
+    for _, _, _, w, _, v in _slabs(
+            sol, ep, fronts, pos, tn, X0, X1,
+            lambda width: int(np.clip(math.ceil(width / 0.2), 4, 40)),
+            _MASS_ORDER):
+        total += float(np.sum(w * v))
     for f in fronts:
         if f.kind.carries_atom:
             total += float(f.strength(t))
@@ -517,7 +531,7 @@ def entropy_compat_error(pair: EntropyPair, us, vs, h: float = 1e-5) -> float:
 
 
 def entropy_residual(sol: Solution, pair: EntropyPair, phi: TestFunction,
-                     eps: Optional[float] = None, order: int = 16) -> float:
+                     eps: Optional[float] = None) -> float:
     """int eta phi_t + q phi_x (+ initial-data term with the function part
     of v) with every delta atom replaced by the two-sided strips of width
     eps and height alpha/(2 eps).
@@ -526,73 +540,9 @@ def entropy_residual(sol: Solution, pair: EntropyPair, phi: TestFunction,
     nonnegatively for phi >= 0; for a regularized delta contact the residual
     is the initial/birth-layer mismatch, of size O(eps).
     """
-    t_lo = max(0.0, phi.tc - phi.st)
-    t_hi = phi.tc + phi.st
-    x_lo_box = phi.xc - phi.sx
-    x_hi_box = phi.xc + phi.sx
-    R = 0.0
-    for (a, b) in _time_cells(sol, t_lo, t_hi, x_lo_box, x_hi_box):
-        ep = sol.epoch_at(0.5 * (a + b))
-        tp = max(4, _panels_for(b - a, phi.st))
-        xi, wxi = _composite01(tp, order)
-        tn = a + (b - a) * xi
-        tw = (b - a) * wxi
-        fronts = [sol.fronts[f] for f in ep.fronts]
-        pos = [f.geom.pos(tn) for f in fronts]
-        in_box = [bool(np.any((p > x_lo_box) & (p < x_hi_box))) for p in pos]
-        strip = [eps is not None and f.kind.carries_atom for f in fronts]
-        if eps is None and any(f.kind.carries_atom and ib
-                               for f, ib in zip(fronts, in_box)):
-            raise ValueError("an atom front crosses the test function "
-                             "support; pass eps for the strip regularization")
-        nf = len(fronts)
-        for k, rid in enumerate(ep.regions):
-            reg = sol.regions[rid]
-            base_lo = pos[k - 1] if k > 0 else np.full_like(tn, x_lo_box)
-            base_hi = pos[k] if k < nf else np.full_like(tn, x_hi_box)
-            # carve the strip slivers off this region's slab
-            pieces = []
-            lo_eff = base_lo.copy()
-            hi_eff = base_hi.copy()
-            if k > 0 and strip[k - 1]:
-                lo_eff = base_lo + eps
-                pieces.append((base_lo, np.minimum(base_lo + eps, base_hi),
-                               fronts[k - 1]))
-            if k < nf and strip[k]:
-                hi_eff = base_hi - eps
-                pieces.append((np.maximum(base_hi - eps, base_lo), base_hi,
-                               fronts[k]))
-            pieces.append((lo_eff, hi_eff, None))
-            for (plo, phi_, owner) in pieces:
-                lo = np.maximum(plo, x_lo_box)
-                hi = np.minimum(phi_, x_hi_box)
-                rows = hi - lo > 0.0
-                if not np.any(rows):
-                    continue
-                lo_r, hi_r, tn_r, tw_r = lo[rows], hi[rows], tn[rows], tw[rows]
-                xp = _panels_for(float(np.median(hi_r - lo_r)), phi.sx, cap=6)
-                off_r = _sing_offset(reg, lo_r, tn_r) if owner is None else None
-                x, wx, dist = _x_nodes(lo_r, hi_r, xp, order, off_r)
-                tt = tn_r[:, None]
-                u = np.asarray(reg.u_law(x, tt)) + np.zeros_like(x)
-                if owner is None:
-                    v = _v_eval(reg, x, tt, dist) + np.zeros_like(x)
-                else:
-                    v = (np.asarray(owner.strength(tn_r))[:, None]
-                         / (2.0 * eps)) + np.zeros_like(x)
-                eta = pair.eta(u, v)
-                q = pair.q(u, v)
-                R += float(np.sum(tw_r * np.sum(
-                    wx * (eta * phi.dt(tt, x) + q * phi.dx(tt, x)), axis=1)))
-    if phi.tc - phi.st < 0.0 < t_hi:
-        xi, wxi = _composite01(6, order)
-        for lo, hi, reg in _initial_segments(sol, x_lo_box, x_hi_box):
-            x = lo + (hi - lo) * xi
-            w = (hi - lo) * wxi
-            u0 = np.asarray(reg.u_law(x, 0.0))
-            v0 = np.asarray(reg.v_law(x, 0.0))
-            R += float(np.sum(w * pair.eta(u0, v0) * phi.value(0.0, x)))
-    return R
+    (r,) = _pairing(sol, phi, (lambda u, v: (pair.eta(u, v), pair.q(u, v)),),
+                    eps=eps)
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -635,91 +585,60 @@ def fan_approx_oracle(sc: Scenario, n: int) -> OracleRun:
     trajectory and strength for comparison against the exact solution.
     """
     if n < 2:
-        raise ValueError("need at least 2 fan steps")
+        raise ScenarioError("the fan oracle needs at least 2 fan steps")
     case_id, _ = validate_scenario(sc)
     if case_id not in (4, 5):
-        raise ValueError("the fan oracle applies to cases 4 and 5 only")
+        raise ScenarioError("the fan oracle applies to cases 4 and 5 only")
     u0, v0 = sc.left.u, sc.left.v
     u1, v1 = sc.middle.u, sc.middle.v
     u2, v2 = sc.right.u, sc.right.v
-
-    times, xs, speeds, gammas, rates = [], [], [], [], []
-
-    def push(t, x, c, g, r):
-        times.append(t)
-        xs.append(x)
-        speeds.append(c)
-        gammas.append(g)
-        rates.append(r)
-
-    end_kind = "merged-out"
     if case_id == 4:
         h = (u2 - u1) / n
         ratio = (2.0 - h) / (2.0 + h)
         # passive fronts from the origin, slowest first: the contact, then
         # the fan steps; sector j right of step j has u1 + j h and v-level
-        # v2 ratio^(n-j)
+        # v2 ratio^(n-j).  Each replaces the delta's right state.
         passive = [(u1 - 1.0, State(u1, v2 * ratio ** n))]
         for j in range(1, n + 1):
             passive.append((u1 + (j - 0.5) * h, State(u1 + j * h,
                                                       v2 * ratio ** (n - j))))
-        t, x, g = 0.0, sc.offset, 0.0
-        left = State(u0, v0)
-        right = State(u1, v1)
-        c = 0.5 * (left.u + right.u)
-        r = rh_deficit(left, right, c)
-        push(t, x, c, g, r)
-        t_end = INF
-        for (pc, beyond) in passive:
-            tau = (x - c * t) / (pc - c)
-            g += r * (tau - t)
-            x += c * (tau - t)
-            t = tau
-            right = beyond
-            if classify(left.u, right.u) is WaveCase.DELTA_SHOCK:
-                c = 0.5 * (left.u + right.u)
-                r = rh_deficit(left, right, c)
-                push(t, x, c, g, r)
-            else:
-                # overcompressibility exhausted: delta contact + shock
-                push(t, x, left.u - 1.0, g, 0.0)
-                t_end, end_kind = t, "bifurcation"
-                break
-        else:
-            t_end = t + 10.0 * (t - times[0] + 1.0)
+        left, right = State(u0, v0), State(u1, v1)
     else:
         h = (u1 - u0) / n
         ratio = (2.0 - h) / (2.0 + h)
         # fastest step first: it reaches the delta first; sector j left of
-        # step j has u-level u1 - j h and v-level v1 ratio^j
+        # step j has u-level u1 - j h and v-level v1 ratio^j.  Each replaces
+        # the delta's left state.
         passive = [(u1 - (j - 0.5) * h, State(u1 - j * h, v1 * ratio ** j))
                    for j in range(1, n + 1)]
-        t, x, g = 0.0, sc.offset, 0.0
-        left = State(u1, v1)
-        right = State(u2, v2)
+        left, right = State(u1, v1), State(u2, v2)
+
+    t, x, g = 0.0, sc.offset, 0.0
+    c = 0.5 * (left.u + right.u)
+    r = rh_deficit(left, right, c)
+    segments = [(t, x, c, g, r)]
+    t_end, end_kind = INF, "merged-out"
+    for (pc, beyond) in passive:
+        tau = (x - c * t) / (pc - c)
+        g += r * (tau - t)
+        x += c * (tau - t)
+        t = tau
+        if case_id == 4:
+            right = beyond
+        else:
+            left = beyond
+        if classify(left.u, right.u) is not WaveCase.DELTA_SHOCK:
+            # overcompressibility exhausted: delta contact + shock
+            segments.append((t, x, left.u - 1.0, g, 0.0))
+            t_end, end_kind = t, "bifurcation"
+            break
         c = 0.5 * (left.u + right.u)
         r = rh_deficit(left, right, c)
-        push(t, x, c, g, r)
-        t_end = INF
-        for (pc, beyond) in passive:
-            tau = (x - c * t) / (pc - c)
-            g += r * (tau - t)
-            x += c * (tau - t)
-            t = tau
-            left = beyond
-            if classify(left.u, right.u) is WaveCase.DELTA_SHOCK:
-                c = 0.5 * (left.u + right.u)
-                r = rh_deficit(left, right, c)
-                push(t, x, c, g, r)
-            else:
-                push(t, x, left.u - 1.0, g, 0.0)
-                t_end, end_kind = t, "bifurcation"
-                break
-        else:
-            t_end = t + 10.0 * (t - times[0] + 1.0)
-
-    return OracleRun(n, np.asarray(times), np.asarray(xs), np.asarray(speeds),
-                     np.asarray(gammas), np.asarray(rates), t_end, end_kind)
+        segments.append((t, x, c, g, r))
+    else:
+        t_end = t + 10.0 * (t + 1.0)
+    return OracleRun(n, *(np.asarray(col) for col in zip(*segments)),
+                     t_end, end_kind)
 
 
 def compare_oracle(sol: Solution, orun: OracleRun,

@@ -104,6 +104,26 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert "trajectory sup error" in capsys.readouterr().out
 
 
+def test_oracle_outside_fan_cases_exits_2(case1_file, tmp_path, capsys):
+    assert main(["oracle", str(case1_file), "--n", "100"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fan oracle applies to cases 4 and 5")
+    p = tmp_path / "c4.json"
+    json.dump({"states": [[4, 1], [1, 1], [1.5, 1]], "offset": -1.0},
+              p.open("w"))
+    assert main(["oracle", str(p), "--n", "1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the fan oracle needs at least 2 fan steps")
+    assert "Traceback" not in err
+
+
+def test_verify_rejects_zero_tests(case1_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", str(case1_file), "--tests", "0"])
+    assert exc.value.code == 2
+    assert "--tests" in capsys.readouterr().err
+
+
 def test_solve_outputs_deterministic(case1_file, tmp_path):
     out1, out2 = tmp_path / "a", tmp_path / "b"
     main(["solve", str(case1_file), "--out", str(out1), "--svg"])

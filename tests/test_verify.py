@@ -94,11 +94,23 @@ def test_oracle_small_n_stays_merge_only():
     assert orun.end_kind == "merged-out"
 
 
-def test_oracle_bifurcates_in_case4ii():
-    orun = V.fan_approx_oracle(BATTERY["case4iia"], 50)
-    assert orun.end_kind == "bifurcation"
-    # approximate breakdown time near t_s = 1.5
-    assert orun.t_end == pytest.approx(1.5, rel=0.1)
+FAN_CASES = [n for n in BATTERY if n.startswith(("case4", "case5"))]
+
+
+@pytest.mark.parametrize("name", FAN_CASES)
+def test_oracle_end_matches_exact(name):
+    # the oracle ends in a bifurcation exactly when the exact solution breaks
+    # down, near its breakdown time t_s and nearer as n grows
+    sol = run(BATTERY[name])
+    ev = next((e for e in sol.events if e.rule == "BreakdownBifurcation"), None)
+    coarse = V.fan_approx_oracle(BATTERY[name], 50)
+    fine = V.fan_approx_oracle(BATTERY[name], 200)
+    if ev is None:
+        assert coarse.end_kind == fine.end_kind == "merged-out"
+        return
+    assert coarse.end_kind == fine.end_kind == "bifurcation"
+    assert coarse.t_end == pytest.approx(ev.t, rel=0.1)
+    assert abs(fine.t_end - ev.t) < abs(coarse.t_end - ev.t)
 
 
 def test_oracle_absolute_accuracy_case4i():
@@ -149,6 +161,19 @@ def test_entropy_delta_contact_linear_in_eps():
           for e in (1e-2, 1e-3, 1e-4)]
     assert rs[0] / rs[1] == pytest.approx(10.0, rel=0.05)
     assert rs[1] / rs[2] == pytest.approx(10.0, rel=0.05)
+
+
+@pytest.mark.parametrize("build, phi", [
+    (lambda: run(BATTERY["case4iia"]), V.TestFunction(0.3, 0.25, 0.07, 0.06)),
+    (lambda: fan_solution(State(3, 3), State(2, 1)),
+     V.TestFunction(1.0, 2.5, 0.5, 0.6)),
+], ids=["case4iia_fan", "contact_shock"])
+def test_entropy_strips_touch_only_atom_fronts(build, phi):
+    # no atom front in the support: the strips must leave every slab alone
+    sol = build()
+    pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
+    assert (V.entropy_residual(sol, pair, phi, eps=1e-3)
+            == V.entropy_residual(sol, pair, phi))
 
 
 def test_entropy_requires_eps_on_atoms():
