@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     AffineStrength,
+    ConstLaw,
     FrontKind,
     INF,
     Line,
@@ -64,6 +65,25 @@ def _composite01(panels: int, order: int):
 _BUMP_POW = 8
 
 
+def _bump_antiderivative_coefs(n: int) -> tuple:
+    """c_k with int_0^r (1 - s^2)^n ds = r sum_k c_k (1 - r^2)^k.
+
+    From (2m+1) I_m = r (1 - r^2)^m + 2m I_{m-1}, I_0 = r:
+    c_k = prod_{j=k+1..n} 2j / ((2k+1) prod_{j=k+1..n} (2j+1)).  Every c_k is
+    positive, so the sum has no cancellation anywhere on [-1, 1].
+    """
+    coefs = []
+    for k in range(n + 1):
+        num, den = 1, 2 * k + 1
+        for j in range(k + 1, n + 1):
+            num, den = num * 2 * j, den * (2 * j + 1)
+        coefs.append(num / den)  # exact integers, one correct rounding
+    return tuple(coefs)
+
+
+_BUMP_ANTIDERIVATIVE = _bump_antiderivative_coefs(_BUMP_POW)
+
+
 @dataclass(frozen=True)
 class TestFunction:
     """Tensor-product bump (1 - r^2)^8 per direction, supported on
@@ -93,17 +113,19 @@ class TestFunction:
         s = np.maximum(1.0 - r * r, 0.0)
         return -2.0 * _BUMP_POW * r * s ** (_BUMP_POW - 1)
 
+    @staticmethod
+    def _bump_integral(r):
+        """P(r) = int_0^r bump; constant outside [-1, 1]."""
+        r = np.minimum(np.maximum(np.asarray(r, dtype=float), -1.0), 1.0)
+        s = 1.0 - r * r
+        p = _BUMP_ANTIDERIVATIVE[-1]
+        for c in _BUMP_ANTIDERIVATIVE[-2::-1]:
+            p = p * s + c
+        return r * p
+
     def value(self, t, x):
         return (self._bump((np.asarray(t) - self.tc) / self.st)
                 * self._bump((np.asarray(x) - self.xc) / self.sx))
-
-    def dt(self, t, x):
-        return (self._dbump((np.asarray(t) - self.tc) / self.st) / self.st
-                * self._bump((np.asarray(x) - self.xc) / self.sx))
-
-    def dx(self, t, x):
-        return (self._bump((np.asarray(t) - self.tc) / self.st)
-                * self._dbump((np.asarray(x) - self.xc) / self.sx) / self.sx)
 
     @property
     def sup(self) -> float:
@@ -146,18 +168,44 @@ def random_test_functions(sol: Solution, count: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def _time_cells(sol: Solution, t_lo: float, t_hi: float, x_lo: float,
-                x_hi: float):
+                x_hi: float, eps: Optional[float] = None):
     """Split [t_lo, t_hi] at epoch boundaries and at the times fronts enter
     or leave the window [x_lo, x_hi], so every cell's integrand varies on the
-    cell's own scale."""
+    cell's own scale.
+
+    With ``eps``, the edges front +- eps of the strips beside atom fronts
+    (see ``_slabs``) are cut too: where they cross the window's edges, and
+    where adjacent fronts come within eps of each other (a strip meets the
+    neighbouring front) or, both carrying atoms, within 2 eps (the two
+    strips meet).  The gap is solved against the pair's straight member;
+    a pair of two curves is not cut.
+    """
     cuts = {t_lo, t_hi}
     for ep in sol.epochs:
         if t_lo < ep.t0 < t_hi:
             cuts.add(ep.t0)
+        lo, hi = max(t_lo, ep.t0), min(t_hi, ep.t1)
+        if eps is None or not lo < hi:
+            continue
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        for f, g in zip(fronts, fronts[1:]):
+            n = f.kind.carries_atom + g.kind.carries_atom
+            for gap in (eps, 2.0 * eps)[:n]:
+                if isinstance(g.geom, Line):
+                    line, other = replace(g.geom, x0=g.geom.x0 - gap), f.geom
+                elif isinstance(f.geom, Line):
+                    line, other = replace(f.geom, x0=f.geom.x0 + gap), g.geom
+                else:
+                    continue
+                cuts.update(line_crossings(line, other, lo, hi))
+    edges = [Line(0.0, X, 0.0) for X in (x_lo, x_hi)]
+    strip_edges = edges if eps is None else edges + [
+        Line(0.0, X + d, 0.0) for X in (x_lo, x_hi) for d in (-eps, eps)]
     for f in sol.fronts.values():
         lo, hi = max(t_lo, f.birth), min(t_hi, f.death)
-        for X in (x_lo, x_hi):
-            cuts.update(line_crossings(Line(0.0, X, 0.0), f.geom, lo, hi))
+        if lo < hi:
+            for line in strip_edges if f.kind.carries_atom else edges:
+                cuts.update(line_crossings(line, f.geom, lo, hi))
     cs = sorted(cuts)
     return [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1e-15 * (1.0 + abs(b))]
 
@@ -195,13 +243,19 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
     Each region is clipped to [x_lo, x_hi] row by row.  With ``eps``, the
     strips of width eps on both sides of every atom front are pieces of their
     own, on which v is the atom spread evenly, alpha/(2 eps).  Yields
-    (rows, t, x, wx, u, v) per piece: the mask of its non-empty rows, their
-    times as a column, x nodes and weights (``panels(width)`` panels of
-    ``order`` points, sized by the widest row), and u and v at the nodes.
+    (rows, ends, x, wx, u, v) per piece, ``rows`` being the mask of its
+    non-empty rows.  A piece on which neither u nor v depends on x (ConstLaw
+    u and v, or a strip beside a ConstLaw u) is a flat row: ``ends`` holds
+    the per-row endpoints as a (2, rows) array, x and wx are None, u is a
+    float and v a float or a per-row array.  Every other piece has x nodes:
+    ``ends`` is None, x and wx are the nodes and weights (``panels(width)``
+    panels of ``order`` points, sized by the widest row) and u and v are the
+    fields at the nodes.
     """
     nf = len(fronts)
     for k, rid in enumerate(ep.regions):
         reg = sol.regions[rid]
+        flat_u = isinstance(reg.u_law, ConstLaw)
         lo = pos[k - 1] if k > 0 else np.full_like(tn, x_lo)
         hi = pos[k] if k < nf else np.full_like(tn, x_hi)
         lo_main, hi_main, pieces = lo, hi, []
@@ -220,6 +274,13 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
             if not np.any(rows):
                 continue
             a, b, t = a[rows], b[rows], tn[rows]
+            if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
+                if owner is not None:
+                    v = np.asarray(owner.strength(t)) / (2.0 * eps)
+                else:
+                    v = reg.v_law.value
+                yield rows, np.stack((a, b)), None, None, reg.u_law.value, v
+                continue
             off = None
             if owner is None and reg.singular_left:
                 # distance to the blow-up locus; noise-level offsets snap to
@@ -239,11 +300,11 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 v = np.asarray(reg.v_law.from_distance(dist, tt))
             else:
                 v = np.asarray(reg.v_law(x, tt))
-            yield rows, tt, x, wx, u, v
+            yield rows, None, x, wx, u, v
 
 
 def _panels_for(width, scale):
-    return int(np.clip(math.ceil(3.0 * width / max(scale, 1e-300)), 1, 8))
+    return min(max(math.ceil(3.0 * width / max(scale, 1e-300)), 1), 8)
 
 
 def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None,
@@ -251,6 +312,11 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     """Per component, int int rho phi_t + f phi_x over the support of ``phi``
     plus the initial term int rho(u0, v0) phi(0, x) dx, where each of
     ``laws`` maps (u, v) to its component's (rho, f).
+
+    phi is the product of a t-factor and an x-factor, both evaluated once per
+    time cell or piece.  On a flat row (see ``_slabs``) the x-integrals of the
+    x-factor and its derivative are exact: sx [P(r_b) - P(r_a)] and
+    bump(r_b) - bump(r_a), with P the bump's antiderivative.
 
     The last component is v's and may carry the solution's delta atoms.  With
     ``atoms`` they enter as measures: per atom front the line integral of
@@ -264,12 +330,15 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     x_lo = phi.xc - phi.sx
     x_hi = phi.xc + phi.sx
     R = [0.0] * len(laws)
-    cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi) if t_hi > t_lo else []
+    cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi, eps) if t_hi > t_lo else []
     for (a, b) in cells:
         ep = sol.epoch_at(0.5 * (a + b))
         xi, wxi = _composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
         tn = a + (b - a) * xi
         tw = (b - a) * wxi
+        rt = (tn - phi.tc) / phi.st
+        bt = tw * phi._bump(rt)              # weights of the phi_x terms
+        dbt = tw * phi._dbump(rt) / phi.st   # weights of the phi_t terms
         fronts = [sol.fronts[f] for f in ep.fronts]
         pos = [f.geom.pos(tn) for f in fronts]
         if eps is None and not atoms and any(
@@ -277,16 +346,29 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                 for f, p in zip(fronts, pos)):
             raise ValueError("an atom front crosses the test function "
                              "support; pass eps for the strip regularization")
-        for rows, tt, x, wx, u, v in _slabs(
+        for rows, ends, x, wx, u, v in _slabs(
                 sol, ep, fronts, pos, tn, x_lo, x_hi,
                 lambda width: _panels_for(width, phi.sx), _ORDER, eps):
-            tw_r = tw[rows]
-            pt = phi.dt(tt, x)
-            px = phi.dx(tt, x)
+            bt_r, dbt_r = bt[rows], dbt[rows]
+            if x is None:
+                r = (ends - phi.xc) / phi.sx
+                p = phi._bump_integral(r)
+                q = phi._bump(r)
+                ix = phi.sx * (p[1] - p[0])
+                jx = q[1] - q[0]
+                for i, law in enumerate(laws):
+                    rho, flux = law(u, v)
+                    R[i] += float(np.dot(dbt_r, rho * ix) + np.dot(bt_r, flux * jx))
+                continue
+            r = (x - phi.xc) / phi.sx
+            s = np.maximum(1.0 - r * r, 0.0)
+            s7 = s ** (_BUMP_POW - 1)
+            bx = wx * (s7 * s)
+            dbx = wx * ((-2.0 * _BUMP_POW / phi.sx) * r * s7)
             for i, law in enumerate(laws):
                 rho, flux = law(u, v)
-                R[i] += float(np.sum(tw_r * np.sum(wx * (rho * pt + flux * px),
-                                                   axis=1)))
+                R[i] += float(np.dot(dbt_r, np.sum(rho * bx, axis=1))
+                              + np.dot(bt_r, np.sum(flux * dbx, axis=1)))
         if atoms:
             for f, c in zip(fronts, pos):
                 if not f.kind.carries_atom:
@@ -295,19 +377,25 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                 u_left, _, u_right, _ = f.traces
                 m = (np.asarray(a0) * (np.asarray(u_left(tn)) - 1.0)
                      + np.asarray(a1) * (np.asarray(u_right(tn)) - 1.0))
-                R[-1] += float(np.sum(tw * (alpha * phi.dt(tn, c)
-                                            + m * phi.dx(tn, c))))
+                rc = (c - phi.xc) / phi.sx
+                R[-1] += float(np.sum(dbt * alpha * phi._bump(rc)
+                                      + bt * m * phi._dbump(rc) / phi.sx))
     if phi.tc - phi.st < 0.0 < t_hi:
         init = [0.0] * len(laws)
         ep = sol.epochs[0]
         fronts = [sol.fronts[f] for f in ep.fronts]
         t0 = np.zeros(1)
         pos = [f.geom.pos(t0) for f in fronts]
-        for _, _, x, w, u, v in _slabs(sol, ep, fronts, pos, t0, x_lo, x_hi,
-                                       lambda width: 6, _ORDER):
-            p0 = phi.value(0.0, x)
+        b0 = float(phi._bump(-phi.tc / phi.st))
+        for _, ends, x, w, u, v in _slabs(sol, ep, fronts, pos, t0, x_lo,
+                                          x_hi, lambda width: 6, _ORDER):
+            if x is None:
+                p = phi._bump_integral((ends - phi.xc) / phi.sx)
+                p0 = phi.sx * (p[1] - p[0])
+            else:
+                p0 = w * phi._bump((x - phi.xc) / phi.sx)
             for i, law in enumerate(laws):
-                init[i] += float(np.sum(w * law(u, v)[0] * p0))
+                init[i] += b0 * float(np.sum(law(u, v)[0] * p0))
         for f, c in zip(fronts, pos):
             if atoms and f.kind.carries_atom:
                 g0 = float(f.strength(0.0))
@@ -360,11 +448,14 @@ def _mass_at(sol: Solution, t: float, X0: float, X1: float) -> float:
     if any(p[0] <= X0 or p[0] >= X1 for p in pos):
         raise ValueError(f"fronts exit the window [{X0}, {X1}] at t={t}")
     total = 0.0
-    for _, _, _, w, _, v in _slabs(
+    for _, ends, x, w, _, v in _slabs(
             sol, ep, fronts, pos, tn, X0, X1,
-            lambda width: int(np.clip(math.ceil(width / 0.2), 4, 40)),
+            lambda width: min(max(math.ceil(width / 0.2), 4), 40),
             _MASS_ORDER):
-        total += float(np.sum(w * v))
+        if x is None:
+            total += float(np.sum(v * (ends[1] - ends[0])))
+        else:
+            total += float(np.sum(w * v))
     for f in fronts:
         if f.kind.carries_atom:
             total += float(f.strength(t))

@@ -1,24 +1,92 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import State
+from deltashock.core import ConstLaw, FieldLaw, State
 from deltashock.evaluate import atoms_at
 from deltashock.interact import fan_solution, run
 from deltashock import verify as V
 
 
 def test_testfunction_derivatives_match_fd():
+    # phi_t and phi_x are products of the bump and its derivative
     phi = V.TestFunction(0.6, -0.3, 0.4, 1.1)
     rng = np.random.default_rng(0)
-    t = rng.uniform(0.25, 0.95, 40)
-    x = rng.uniform(-1.3, 0.7, 40)
+    r = rng.uniform(-1.2, 1.2, 40)
     h = 1e-6
-    dt_fd = (phi.value(t + h, x) - phi.value(t - h, x)) / (2 * h)
-    dx_fd = (phi.value(t, x + h) - phi.value(t, x - h)) / (2 * h)
-    assert np.allclose(phi.dt(t, x), dt_fd, atol=1e-8)
-    assert np.allclose(phi.dx(t, x), dx_fd, atol=1e-8)
+    fd = (phi._bump(r + h) - phi._bump(r - h)) / (2 * h)
+    assert np.allclose(phi._dbump(r), fd, atol=1e-8)
     assert phi.value(0.6, -0.3) == phi.sup
+
+
+def test_bump_integral_matches_gauss():
+    # P(b) - P(a) against 32-point Gauss-Legendre, exact for the degree-16
+    # bump; endpoints spread over [-1, 1] and clustered near +-1, where the
+    # difference is a small remainder of two values close to P(+-1)
+    rng = np.random.default_rng(20240801)
+    n = 2000
+    spread = rng.uniform(-1.0, 1.0, (n // 2, 2))
+    near = rng.choice([-1.0, 1.0], (n // 2, 1)) * (
+        1.0 - 10.0 ** rng.uniform(-12.0, 0.0, (n // 2, 2)))
+    a, b = np.sort(np.concatenate([spread, near]), axis=1).T
+    xg, wg = np.polynomial.legendre.leggauss(32)
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    gauss = half * np.sum(wg * V.TestFunction._bump(mid[:, None]
+                                                     + half[:, None] * xg),
+                          axis=1)
+    exact = V.TestFunction._bump_integral(b) - V.TestFunction._bump_integral(a)
+    assert np.max(np.abs(exact - gauss)) <= 4e-15
+    assert V.TestFunction._bump_integral(1.0) == pytest.approx(
+        np.prod([2 * j / (2 * j + 1) for j in range(1, 9)]), rel=1e-15)
+
+
+class _NodeConst(FieldLaw):
+    """A constant law that is not a ``ConstLaw``: regions using it are
+    integrated on x nodes, not as flat rows."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, x, t):
+        return np.full(np.shape(x), self.value)
+
+
+def _through_nodes(sol):
+    def law(f):
+        return _NodeConst(f.value) if isinstance(f, ConstLaw) else f
+    regions = {rid: replace(reg, u_law=law(reg.u_law), v_law=law(reg.v_law))
+               for rid, reg in sol.regions.items()}
+    return replace(sol, regions=regions)
+
+
+@pytest.fixture(scope="module")
+def battery_pairs():
+    return {name: (sol, _through_nodes(sol)) for name, sol in
+            ((name, run(sc)) for name, sc in BATTERY.items())}
+
+
+def test_flat_rows_match_node_quadrature(battery_pairs):
+    worst = 0.0
+    for sol, nodes in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 200, seed=20240801):
+            flat = V.weak_residual(sol, phi)
+            ref = V.weak_residual(nodes, phi)
+            worst = max(worst, abs(flat[0] - ref[0]), abs(flat[1] - ref[1]))
+    assert worst <= 1e-13
+
+
+def test_flat_rows_match_node_quadrature_mass(battery_pairs):
+    for sol, nodes in battery_pairs.values():
+        t_hi = min(sol.t_max_computed, 5.0)
+        window = V.auto_window(sol, t_hi)
+        times = np.linspace(1e-3, t_hi, 11)
+        for t in times:
+            assert abs(V._mass_at(sol, t, *window)
+                       - V._mass_at(nodes, t, *window)) <= 1e-13
+        assert abs(V.mass_balance(sol, window, times)
+                   - V.mass_balance(nodes, window, times)) <= 1e-13
 
 
 def test_random_test_functions_deterministic():
@@ -174,6 +242,18 @@ def test_entropy_strips_touch_only_atom_fronts(build, phi):
     pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
     assert (V.entropy_residual(sol, pair, phi, eps=1e-3)
             == V.entropy_residual(sol, pair, phi))
+
+
+def test_entropy_strip_edges_converge_in_order(monkeypatch):
+    # the strip beside the fan-interior delta shock meets the fan edges
+    # inside the support; with the strip edges cut, order 16 is converged
+    pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
+    sol = run(BATTERY["case4i"])
+    phi = V.random_test_functions(sol, 200, seed=20240801)[11]
+    r16 = V.entropy_residual(sol, pair, phi, eps=1e-3)
+    monkeypatch.setattr(V, "_ORDER", 48)
+    r48 = V.entropy_residual(sol, pair, phi, eps=1e-3)
+    assert r16 == pytest.approx(r48, rel=1e-8)
 
 
 def test_entropy_requires_eps_on_atoms():
