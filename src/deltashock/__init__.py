@@ -20,7 +20,6 @@ from .core import (
     SqrtCurve,
     State,
     TabulatedStrength,
-    eigenvalues,
 )
 from .riemann import (
     WaveCase,
@@ -28,8 +27,6 @@ from .riemann import (
     classify,
     rh_deficit,
     solve_grp,
-    solve_riemann,
-    split_strength,
     v_star,
 )
 from .fronts import (
@@ -37,8 +34,6 @@ from .fronts import (
     characteristic_in_fan,
     fan_delta_trajectory,
     intersect,
-    shock_left_trace,
-    strength_rate,
 )
 from .interact import (
     RESOLUTION_RULES,
@@ -59,9 +54,7 @@ __all__ = [
     "Sample", "Scenario", "ScenarioError", "Solution", "SqrtCurve", "State",
     "TabulatedStrength", "TrackingError", "WaveCase", "WaveFan",
     "atoms_at", "battery_scenarios", "breakdown_time",
-    "characteristic_in_fan", "classify", "eigenvalues",
+    "characteristic_in_fan", "classify",
     "fan_delta_trajectory", "fan_solution", "intersect", "rh_deficit", "run",
-    "sample", "shock_left_trace", "solve_grp", "solve_riemann",
-    "split_strength", "strength_rate",
-    "v_star", "validate_scenario",
+    "sample", "solve_grp", "v_star", "validate_scenario",
 ]

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 INF = math.inf
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(20)
+_EPS = float(np.finfo(float).eps)
 
 
 def _returns_like(t, values):
@@ -27,12 +26,16 @@ def _returns_like(t, values):
 
 
 # ---------------------------------------------------------------------------
-# states and eigenstructure
+# states and points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class State:
-    """Constant field pair (u, v).  v may be negative; both must be finite."""
+    """Constant field pair (u, v).  v may be negative; both must be finite.
+
+    The characteristic speeds are u - 1 (linearly degenerate) and u
+    (genuinely nonlinear), so the system is strictly hyperbolic.
+    """
 
     u: float
     v: float
@@ -40,15 +43,6 @@ class State:
     def __post_init__(self):
         if not (math.isfinite(self.u) and math.isfinite(self.v)):
             raise ValueError(f"non-finite state ({self.u}, {self.v})")
-
-
-def eigenvalues(s: State) -> tuple[float, float]:
-    """Characteristic speeds (lambda1, lambda2) = (u - 1, u).
-
-    The first family is linearly degenerate, the second genuinely nonlinear,
-    so lambda1 < lambda2 always (strict hyperbolicity).
-    """
-    return s.u - 1.0, s.u
 
 
 @dataclass(frozen=True)
@@ -195,54 +189,59 @@ class AffineStrength(StrengthLaw):
         return _returns_like(t, np.full_like(t, self.s, dtype=float))
 
 
+@dataclass(frozen=True)
 class TabulatedStrength(StrengthLaw):
-    """alpha(t) = gamma0 + integral of a smooth rate, stored on quadrature panels.
+    """Strength of a delta shock crossing a fan on ``curve``, in closed form.
 
-    Panel boundary values are exact (composite Gauss-Legendre); evaluation
-    inside a panel re-integrates from the left edge, so there is no
-    interpolation error beyond quadrature tolerance.
+    The fan side carries v = fan_v, so its trace on the curve is
+    vf(y) = v_ref exp(u_k + K/sqrt(y) - u_ref) with y = t - tc, and the
+    other side the constant v_k.  The deficit rate
+    sigma [vf (1 - K/(2 sqrt y)) - v_k (1 + K/(2 sqrt y))], sigma = +1 with
+    the fan on the right and -1 on the left, has the antiderivative
+    F(y) = sigma [y vf(y) - v_k (y + K sqrt y)], so
+    alpha(t) = gamma0 + F(t - tc) - F(t0 - tc).  ``t1`` is the end of the
+    passage (breakdown or exit).  The name is historical: the benchmark's
+    tracer wraps ``TabulatedStrength.__call__`` by name.
     """
 
-    def __init__(self, rate_fn: Callable, t0: float, t1: float, gamma0: float,
-                 panels: int = 64):
-        if not (t1 > t0):
-            raise ValueError("empty strength range")
-        self._rate = rate_fn
-        self.t0 = float(t0)
-        self.t1 = float(t1)
-        self.gamma0 = float(gamma0)
-        edges = np.linspace(t0, t1, panels + 1)
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        half = 0.5 * (edges[1:] - edges[:-1])
-        ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        vals = np.asarray(rate_fn(ts), dtype=float)
-        panel_int = (vals @ _GL_WEIGHTS) * half
-        self.edges = edges
-        self.alpha_nodes = gamma0 + np.concatenate(([0.0], np.cumsum(panel_int)))
+    curve: SqrtCurve
+    fan_v: FanExpV
+    v_k: float
+    sigma: float
+    t0: float
+    t1: float
+    gamma0: float
+
+    def _fan_trace(self, ry):
+        # one exponent, the fan-side trace minus u_ref, which is <= 0 in
+        # the fan; the factors v_ref e^(u_k - u_ref) and e^(K/ry) apart
+        # overflow for |u| ~ 1e3
+        c = self.curve
+        return self.fan_v.v_ref * np.exp(c.u_k + c.K / ry - self.fan_v.u_ref)
 
     def __call__(self, t):
-        scalar = np.isscalar(t)
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        span = self.t1 - self.t0
-        if np.any(t < self.t0 - 1e-9 * span) or np.any(t > self.t1 + 1e-9 * span):
-            raise ValueError("strength queried outside its range")
-        tq = np.clip(t, self.t0, self.t1)
-        k = np.clip(np.searchsorted(self.edges, tq, side="right") - 1, 0,
-                    len(self.edges) - 2)
-        a = self.edges[k]
-        mid = 0.5 * (a + tq)
-        half = 0.5 * (tq - a)
-        ts = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        # a row-wise sum, not a matrix product: BLAS rounds a row differently
-        # with the number of rows, and alpha(t) must not depend on what else
-        # is queried with t
-        vals = np.asarray(self._rate(ts), dtype=float)
-        partial = np.sum(vals * _GL_WEIGHTS, axis=1) * half
-        out = self.alpha_nodes[k] + partial
-        return float(out[0]) if scalar else out
+        t = np.asarray(t, dtype=float)
+        c = self.curve
+        dt = t - self.t0
+        y0 = self.t0 - c.tc
+        ry, ry0 = np.sqrt(t - c.tc), math.sqrt(y0)
+        q = dt / (ry + ry0)                 # sqrt(y) - sqrt(y0)
+        vf, vf0 = self._fan_trace(ry), self._fan_trace(ry0)
+        # vf - vf0 = vf0 expm1(a), with a = K (1/sqrt(y) - 1/sqrt(y0)) the
+        # change of the fan-side u; expm1(-|a|) times the larger trace has
+        # no cancellation near entry and no overflow when vf0 underflows
+        a = -c.K * q / (ry * ry0)
+        dvf = np.expm1(-np.abs(a)) * np.where(a >= 0.0, -vf, vf0)
+        jump = dt * vf + y0 * dvf           # y vf(y) - y0 vf(y0)
+        out = self.gamma0 + self.sigma * (jump - self.v_k * (dt + c.K * q))
+        return _returns_like(t, out)
 
     def rate(self, t):
-        return self._rate(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        ry = np.sqrt(t - self.curve.tc)
+        h = self.curve.K / (2.0 * ry)
+        out = self.sigma * (self._fan_trace(ry) * (1.0 - h) - self.v_k * (1.0 + h))
+        return _returns_like(t, out)
 
 
 # ---------------------------------------------------------------------------
@@ -349,30 +348,69 @@ class WStraightV(FieldLaw):
         return _returns_like(x, val)
 
 
-def _curved_s(g0, B, s_upper):
-    """Solve g0 - 2 log(1 + s/B) - 2s/(B + s)... = 0, i.e. the back-trace
-    C - log(tau) - u2 - 2B/sqrt(tau) = 0 written in s = sqrt(tau) - B with
-    g0 = C - u2 - 2 - 2 log B the (well-conditioned) value at s = 0.
+_HALLEY_MAX = 8  # safety cap; from the callers' guesses 4 steps reach full precision
+# 1/k! for k = 20 down to 2: e^L - 1 - L to rounding for |L| < 1
+_TAIL_COEF = tuple(1.0 / math.factorial(k) for k in range(20, 1, -1))
 
-    Strictly decreasing in s >= 0, so bisection is safe; g0 <= 0 marks
-    points at or past the delta contact.
+
+def _expm1_tail(L):
+    """e^L - 1 - L, as its Taylor series for |L| < 1, where expm1(L) - L
+    cancels."""
+    small = np.abs(L) < 1.0
+    Ls = np.where(small, L, 0.0)
+    series = np.zeros_like(Ls)
+    for c in _TAIL_COEF:
+        series = series * Ls + c
+    return np.where(small, series * Ls * Ls, np.expm1(L) - L)
+
+
+def _halley(L, g, sigma: float):
+    """Root of e^L - 1 + sigma L = g, sigma = +/-1, by Halley's iteration
+    from L, elementwise on arrays.
+
+    For sigma = -1 and small g the left side cancels to ~L^2/2, which
+    leaves the iteration about eps/sqrt(2g) relative error; one Newton step
+    on its series (``_expm1_tail``) restores full precision.  A point stops
+    moving once its step is below rounding, so its value does not depend on
+    the rest of the batch.
     """
-    g0 = np.asarray(g0, dtype=float)
-    s_upper = np.broadcast_to(np.asarray(s_upper, dtype=float), g0.shape)
+    L = np.array(L, dtype=float)
+    done = np.zeros(L.shape, dtype=bool)
+    for _ in range(_HALLEY_MAX):
+        em1 = np.expm1(L)
+        f = em1 + sigma * L - g
+        d1 = em1 + (1.0 + sigma)
+        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * (em1 + 1.0))
+        L -= np.where(done, 0.0, step)
+        done |= np.abs(step) <= 2.0 * _EPS * (1.0 + np.abs(L))
+        if done.all():
+            break
+    if sigma < 0.0:
+        L -= (_expm1_tail(L) - g) / np.expm1(L)
+    return _returns_like(L, L)
 
-    def g(s):
-        # C - 2 log(B+s) - u2 - 2B/(B+s) rewritten around s = 0
-        return g0 - 2.0 * np.log1p(s / B) + 2.0 * s / (B + s)
 
-    bad = g0 <= 0.0
-    lo = np.zeros_like(g0)
-    hi = np.where(bad, 1.0, s_upper * (1.0 + 1e-12) + 1e-300)
-    for _ in range(70):
-        mid = 0.5 * (lo + hi)
-        pos = g(mid) > 0.0
-        lo = np.where(pos, mid, lo)
-        hi = np.where(pos, hi, mid)
-    return 0.5 * (lo + hi), bad
+def _curved_s(g0, B, s_upper):
+    """Back-trace root s >= 0 of g0 = 2 log(1 + s/B) - 2s/(B + s), i.e. of
+    C - log(tau) - u2 - 2B/sqrt(tau) = 0 in s = sqrt(tau) - B, with
+    g0 = C - u2 - 2 - 2 log B its (well-conditioned) value at s = 0.
+
+    With w = B/(B + s) this is w - ln w = 1 + g0/2, the W_0 side of the
+    Lambert-W equation of ``fronts._log_roots``: L = ln w < 0 solves
+    e^L - 1 - L = g0/2, and s = B expm1(-L).  The guesses are the
+    branch-point series for small g0 and the asymptote L ~ e^-c - c,
+    c = 1 + g0/2, for large.  Roots past ``s_upper`` (points beyond the
+    shock) are clamped to it; g0 <= 0 marks points at or past the delta
+    contact.
+    """
+    g = 0.5 * np.asarray(g0, dtype=float)
+    bad = g <= 0.0
+    g = np.where(bad, 1.0, g)
+    p = np.sqrt(2.0 * np.minimum(g, 1.0))
+    c = 1.0 + g
+    L = _halley(np.where(g <= 1.0, -p - p * p / 6.0, np.exp(-c) - c), g, -1.0)
+    L = np.maximum(L, -np.log1p(np.asarray(s_upper, dtype=float) / B))
+    return np.where(bad, 1.0, B * np.expm1(-L)), bad
 
 
 def _curved_value(g0, t, B, v2, s_upper):

@@ -1,6 +1,5 @@
 """Curve algebra: fan-interior trajectories, breakdown detection,
-characteristics, intersections, and the singular trace behind a bifurcated
-shock.
+characteristics and intersections.
 
 Front geometries are lines, square-root curves x = xc + u_k y + K sqrt(y)
 and log characteristics x = xc + y (C - ln y), with y = t - tc measured
@@ -16,12 +15,11 @@ contact (a double root, to within rounding of the terms) is no crossing.
 from __future__ import annotations
 
 import math
-from typing import Callable, Optional
+import sys
+from typing import Optional
 
-import numpy as np
-
-from .core import INF, CurveGeometry, Line, LogCurve, Point, SqrtCurve, State
-from .riemann import rh_deficit
+from .core import (INF, _EPS, CurveGeometry, Line, LogCurve, Point, SqrtCurve,
+                   _halley)
 
 
 def fan_delta_trajectory(entry: Point, u_const: float, fan_center: Point) -> SqrtCurve:
@@ -90,7 +88,8 @@ def line_crossings(line: Line, geom: CurveGeometry, lo: float,
         terms = abs(geom.C) + abs(line.m)
         if D != 0.0:  # the rounding of D, relative to D, reaches ln D
             terms += (abs(x_at_tc) + abs(geom.xc)) / abs(D)
-        ts = [geom.tc + math.exp(w) for w in _log_roots(D, b, terms)]
+        ts = [geom.tc + math.exp(w) for w in _log_roots(D, b, terms)
+              if w < _LN_MAX]
     else:
         raise TypeError(f"unsupported geometry {type(geom)}")
     return [t for t in ts if lo < t < hi]
@@ -117,9 +116,8 @@ def _line_sqrt(a: Line, b: SqrtCurve) -> list[float]:
     return sorted(b.tc + s * s for s in roots if s > 0.0)
 
 
-_EPS = float(np.finfo(float).eps)
 _TANGENT_ULPS = 8.0
-_HALLEY_MAX = 8  # safety cap; from the guesses below 4 steps reach full precision
+_LN_MAX = math.log(sys.float_info.max)  # exp(w) past this is no finite time
 
 
 def _log_roots(a: float, b: float, terms: float) -> list[float]:
@@ -154,20 +152,7 @@ def _log_roots(a: float, b: float, terms: float) -> list[float]:
     else:
         c = 1.0 + g
         guesses = (math.log(c + math.log(c + math.log(c))), math.exp(-c) - c)
-    return [ln_a - _halley(L, g, -1.0) for L in guesses]
-
-
-def _halley(L: float, g: float, sigma: float) -> float:
-    """Root of e^L - 1 + sigma L = g by Halley's iteration from L."""
-    for _ in range(_HALLEY_MAX):
-        e = math.exp(L)
-        f = math.expm1(L) + sigma * L - g
-        d1 = e + sigma
-        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * e)
-        L -= step
-        if abs(step) <= 2.0 * _EPS * (1.0 + abs(L)):
-            break
-    return L
+    return [ln_a - float(L) for L in _halley(guesses, g, -1.0)]
 
 
 def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Point]:
@@ -191,44 +176,11 @@ def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Poin
         # in s = sqrt(t - tc):  s (C - u_k - 2 ln s) = K
         ws = _log_roots(0.5 * sq.K, 0.5 * (lg.C - sq.u_k),
                         0.5 * (abs(lg.C) + abs(sq.u_k)))
-        ts = [t for t in (sq.tc + math.exp(2.0 * w) for w in ws) if t > after]
+        ts = [t for t in (sq.tc + math.exp(2.0 * w) for w in ws
+                          if 2.0 * w < _LN_MAX) if t > after]
     else:
         raise TypeError(f"unsupported geometry pair {type(a)}, {type(b)}")
     if not ts:
         return None
     t = ts[0]
     return Point(t, 0.5 * (a.pos(t) + b.pos(t)))
-
-
-def shock_left_trace(curve: SqrtCurve, right_u: Callable, right_v: Callable,
-                     left_u: Callable) -> Callable:
-    """Trace of v on the unknown (left) side of a post-breakdown shock.
-
-    Pointwise v-Rankine-Hugoniot along the curve:
-    v_L = v_R (c' - u_R + 1)/(c' - u_L + 1).  For the fan-right geometry this
-    collapses to (sqrt(t)+B)/(sqrt(t)-B) v_fan(t) with B = |K|/2, blowing up
-    in a locally integrable way as t -> t_s = B^2 from above.
-    """
-    ts = curve.tc + 0.25 * curve.K * curve.K
-
-    def trace(t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t <= ts):
-            raise ValueError("trace defined only past the breakdown time")
-        cp = curve.slope(t)
-        uR = np.asarray(right_u(t), dtype=float)
-        vR = np.asarray(right_v(t), dtype=float)
-        uL = np.asarray(left_u(t), dtype=float)
-        return vR * (cp - uR + 1.0) / (cp - uL + 1.0)
-
-    return trace
-
-
-def strength_rate(speed, left, right):
-    """Instantaneous growth rate of a delta strength: the deficit
-    c'[v] - [(u-1)v] with the given one-sided traces."""
-    if isinstance(left, State):
-        return rh_deficit(left, right, speed)
-    uL, vL = left
-    uR, vR = right
-    return speed * (vR - vL) - ((uR - 1.0) * vR - (uL - 1.0) * vL)

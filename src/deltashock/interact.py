@@ -133,9 +133,9 @@ class _PendingEvent:
 
 
 class _Tracker:
-    def __init__(self, sc: Scenario):
-        self.case_id, self.case_label = validate_scenario(sc)
+    def __init__(self, sc: Optional[Scenario], case_id: int, case_label: str):
         self.sc = sc
+        self.case_id, self.case_label = case_id, case_label
         self.regions: dict[int, Region] = {}
         self.fronts: dict[int, Front] = {}
         self.events: list[Event] = []
@@ -248,9 +248,17 @@ class _Tracker:
             if p is not None:
                 cands.append((p.t, p.x, (a.fid, b.fid), False))
         for f in fronts:
-            if f.breakdown_t is not None and f.breakdown_t > after:
+            if f.breakdown_t is None:
+                continue
+            if f.breakdown_t > after:
                 cands.append((f.breakdown_t, f.geom.pos(f.breakdown_t),
                               (f.fid,), True))
+            elif f.breakdown_t > t_now:
+                # dropped, the delta would go on past its breakdown as a
+                # non-overcompressive front
+                raise TrackingError(
+                    f"breakdown of front {f.fid} at t={f.breakdown_t} "
+                    f"coincides with the event at t={t_now}")
         if not cands:
             return None
         t_min = min(c[0] for c in cands)
@@ -381,20 +389,9 @@ class _Tracker:
         schedule_breakdown = (t_s is not None
                               and t_s < t_exit * (1.0 - 1e-12))
 
-        # deficit rate with the fan-side trace varying along the curve
-        u_l_law, v_l_law = left.u_law, left.v_law
-        u_r_law, v_r_law = right.u_law, right.v_law
-
-        def rate(t):
-            x = curve.pos(t)
-            cp = curve.slope(t)
-            uL = u_l_law(x, t)
-            vL = v_l_law(x, t)
-            uR = u_r_law(x, t)
-            vR = v_r_law(x, t)
-            return cp * (vR - vL) - ((uR - 1.0) * vR - (uL - 1.0) * vL)
-
-        law = TabulatedStrength(rate, ev.t, t_end, gamma0)
+        law = TabulatedStrength(curve, fan_reg.v_law, const.v,
+                                1.0 if fan_on_right else -1.0,
+                                ev.t, t_end, gamma0)
         fid = self._new_front(FrontKind.DELTA_SHOCK, curve, lrid, rrid,
                               strength=law, birth=ev.t,
                               breakdown_t=t_s if schedule_breakdown else None)
@@ -511,9 +508,12 @@ class _Tracker:
                 raise TrackingError(
                     f"event budget exceeded; last event at t={self.events[-1].t}")
             self.resolve(ev)
+        return self.solution(self.sc.t_max)
+
+    def solution(self, t_max: float) -> Solution:
         return Solution(self.sc, self.case_id, self.case_label,
                         self.regions, self.fronts, self.events, self.epochs,
-                        t_max_computed=self.sc.t_max)
+                        t_max_computed=t_max)
 
 
 def run(sc: Scenario) -> Solution:
@@ -523,7 +523,7 @@ def run(sc: Scenario) -> Solution:
     descriptions stay valid for all t >= 0 (the solution is global), with
     ``t_max_computed`` only bounding default sampling horizons.
     """
-    return _Tracker(sc).track()
+    return _Tracker(sc, *validate_scenario(sc)).track()
 
 
 def fan_solution(left: State, right: State, gamma: float = 0.0,
@@ -533,20 +533,13 @@ def fan_solution(left: State, right: State, gamma: float = 0.0,
     Used to verify standalone two-state solutions with the same residual
     machinery that checks full interaction solutions.
     """
-    tr = _Tracker.__new__(_Tracker)
-    tr.case_id, tr.case_label = 0, "riemann"
-    tr.sc = None
-    tr.regions, tr.fronts, tr.events, tr.epochs = {}, {}, [], []
-    tr._next_rid = tr._next_fid = 0
-    rid_l = tr._new_region(ConstLaw(left.u), ConstLaw(left.v), "left")
+    tr = _Tracker(None, 0, "riemann")
+    rid_l = rid_r = tr._new_region(ConstLaw(left.u), ConstLaw(left.v), "left")
     fan = solve_grp(left, right, gamma, Point(0.0, 0.0))
-    if not fan.fronts:
-        tr.epochs.append(Epoch(0.0, INF, (), (rid_l,)))
-        return Solution(None, 0, "riemann", tr.regions, tr.fronts, [],
-                        tr.epochs, t_max_computed=t_max)
-    rid_r = tr._new_region(ConstLaw(right.u), ConstLaw(right.v), "right")
-    fids, _ = tr._materialize_fan(fan, rid_l, rid_r)
+    fids = []
+    if fan.fronts:
+        rid_r = tr._new_region(ConstLaw(right.u), ConstLaw(right.v), "right")
+        fids, _ = tr._materialize_fan(fan, rid_l, rid_r)
     fronts = tuple(fids)
     tr.epochs.append(Epoch(0.0, INF, fronts, tr._regions_for(fronts, rid_l, rid_r)))
-    return Solution(None, 0, "riemann", tr.regions, tr.fronts, [], tr.epochs,
-                    t_max_computed=t_max)
+    return tr.solution(t_max)

@@ -75,21 +75,6 @@ def v_star(u_l: float, u_r: float, v_r: float) -> float:
     return v_r * (2.0 + u_l - u_r) / den
 
 
-def split_strength(alpha: float, speed: float, u_l: float, u_r: float):
-    """Split an atom into one-sided components (alpha0, alpha1).
-
-    Solves alpha0 + alpha1 = alpha together with the delta'-coefficient
-    condition (u_l - 1 - speed) alpha0 + (u_r - 1 - speed) alpha1 = 0.
-    Both components are nonnegative when alpha >= 0 and the front is
-    overcompressive (u_r <= speed <= u_l - 1).
-    """
-    if u_l == u_r:
-        raise ValueError("split degenerate for u_l = u_r; atom splits evenly "
-                         "by convention")
-    a0 = alpha * (speed - u_r + 1.0) / (u_l - u_r)
-    return a0, alpha - a0
-
-
 @dataclass(frozen=True)
 class FanPiece:
     """One front of a wave fan, with absolute geometry and optional atom."""
@@ -112,17 +97,9 @@ class WaveFan:
     fronts: tuple
     regions: tuple
 
-    def atom_mass(self, t: float) -> float:
-        return sum(p.strength(t) for p in self.fronts if p.strength is not None)
-
 
 def _const_pair(s: State):
     return (ConstLaw(s.u), ConstLaw(s.v))
-
-
-def solve_riemann(left: State, right: State, origin: Point = Point(0.0, 0.0)) -> WaveFan:
-    """Solve the two-state Riemann problem posed at ``origin``."""
-    return solve_grp(left, right, 0.0, origin)
 
 
 def solve_grp(left: State, right: State, gamma: float,

@@ -57,6 +57,20 @@ def test_tracking_failure_exits_4(tmp_path, capsys):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_breakdown_at_fan_entry_exits_4(tmp_path, capsys):
+    # an exact u-gap of 2 where the delta loses overcompressibility as it
+    # enters the fan: the breakdown falls inside the entry event's window
+    p = tmp_path / "entry.json"
+    json.dump({"states": [[1.25, 0.672883255536642],
+                          [5.5, 1.3808802634686494],
+                          [3.5, 0.6273382232099308]],
+               "offset": 2.0931151696592165}, p.open("w"))
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: breakdown of front")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_writes_outputs(case1_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", str(case1_file), "--out", str(out), "--svg"]) == 0

@@ -1,35 +1,42 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
+from deltashock.battery import BATTERY
 from deltashock.core import (
     AffineStrength,
     ConstantStrength,
     Line,
     LogCurve,
     Point,
+    Scenario,
     SqrtCurve,
     State,
     TabulatedStrength,
+    WCurvedV,
     WStraightV,
-    eigenvalues,
+    _curved_s,
 )
+from deltashock.interact import run
 
-finite = st.floats(min_value=-50, max_value=50, allow_nan=False)
-
-
-def test_eigenvalues_examples():
-    assert eigenvalues(State(2, 5)) == (1, 2)
-    assert eigenvalues(State(0, 0)) == (-1, 0)
-    assert eigenvalues(State(4, 1)) == (3, 4)
+EPS = np.finfo(float).eps
 
 
-@given(u=finite, v=finite)
-def test_strict_hyperbolicity(u, v):
-    lam1, lam2 = eigenvalues(State(u, v))
-    assert lam1 < lam2
+# fans spanning u in [-1000, 1000], entered at either edge; at the left
+# edge the fan-side trace v_ref e^(u - u_ref) starts out underflowed
+EXTREME = (Scenario(State(-1000, 1), State(1000, 1), State(0, 1), offset=1.0),
+           Scenario(State(1002, 1), State(-1000, 1), State(1000, 1), offset=-1.0))
+
+
+def fan_strengths():
+    """The fan-crossing delta laws of the battery and of EXTREME."""
+    sols = [run(sc) for sc in (*BATTERY.values(), *EXTREME)]
+    laws = [f.strength for sol in sols for f in sol.fronts.values()
+            if isinstance(f.strength, TabulatedStrength)]
+    assert len(laws) == 9
+    return laws
 
 
 def test_state_rejects_nonfinite():
@@ -76,29 +83,60 @@ def test_affine_and_constant_strength():
 
 
 def test_tabulated_strength_matches_reference_quadrature():
-    rate = lambda t: np.sin(3.0 * t) + 0.25 * t
-    law = TabulatedStrength(rate, 0.5, 2.5, gamma0=1.0)
-    # independent reference: antiderivative in closed form
-    ref = lambda t: 1.0 + (-(np.cos(3*t) - np.cos(1.5)) / 3.0
-                           + 0.125 * (t*t - 0.25))
-    assert np.all(np.diff(law.edges) > 0)
-    # dyadic midpoints between tabulated nodes
-    mids = 0.5 * (law.edges[1:] + law.edges[:-1])
-    err = np.abs(law(mids) - ref(mids))
-    assert np.max(err) <= 1e-9
-    ts = np.linspace(0.5, 2.5, 777)
-    assert np.max(np.abs(law(ts) - ref(ts))) <= 1e-9
-    with pytest.raises(ValueError):
-        law(3.0)
+    # the closed form against 40-point Gauss-Legendre of its own rate, the
+    # deficit c'[v] - [(u-1)v], on panels graded toward entry, where the
+    # rate of the EXTREME laws falls from 1000 to 3 within 0.01
+    xg, wg = np.polynomial.legendre.leggauss(40)
+    for law in fan_strengths():
+        ts = law.t0 + (law.t1 - law.t0) * np.concatenate(
+            ([0.0], np.geomspace(1e-9, 1.0, 61)))
+        a, b = ts[:-1, None], ts[1:, None]
+        nodes = 0.5 * (a + b) + 0.5 * (b - a) * xg
+        rates = law.rate(nodes)
+        panels = 0.5 * (ts[1:] - ts[:-1]) * (rates @ wg)
+        ref = law.gamma0 + np.concatenate(([0.0], np.cumsum(panels)))
+        scale = abs(law.gamma0) + np.sum(np.abs(rates) @ wg * 0.5
+                                         * (ts[1:] - ts[:-1]))
+        # the fan-side exponent u_k + K/sqrt(y) - u_ref rounds relative to
+        # its terms
+        tol = 4.0 * EPS * (1.0 + abs(law.curve.u_k) + abs(law.fan_v.u_ref))
+        assert np.max(np.abs(law(ts) - ref)) <= tol * scale
+        assert law(law.t0) == law.gamma0
 
 
 def test_tabulated_strength_independent_of_batch():
     # a time's strength has the same bits whether queried alone or in a batch
-    law = TabulatedStrength(lambda t: np.exp(-t) * np.cos(5.0 * t), 0.3, 4.0,
-                            gamma0=2.0)
-    ts = np.linspace(0.3, 4.0, 1001)
-    assert np.array_equal(law(ts), [law(float(t)) for t in ts])
-    assert np.array_equal(law(ts[::7]), law(ts)[::7])
+    for law in fan_strengths():
+        ts = np.linspace(law.t0, law.t1, 1001)
+        assert np.array_equal(law(ts), [law(float(t)) for t in ts])
+        assert np.array_equal(law(ts[::7]), law(ts)[::7])
+        assert np.array_equal(law.rate(ts[::7]), law.rate(ts)[::7])
+
+
+def test_curved_root_matches_mpmath():
+    # w - ln w = 1 + g0/2 with w = B/(B + s) in (0, 1]: w = -W0(-e^-(1+g0/2));
+    # the problem's own condition number grows like g0/2
+    mpmath.mp.dps = 60
+    g0 = np.concatenate([np.exp(-np.arange(1.0, 41.0)),
+                         np.logspace(-12.0, 3.0, 151)])
+    B = 1.7
+    s, bad = _curved_s(g0, B, np.inf)
+    assert not bad.any()
+    for g, got in zip(g0, s):
+        w = -mpmath.lambertw(-mpmath.exp(-(1 + mpmath.mpf(g) / 2))).real
+        ref = B * (1 / w - 1)
+        assert abs(got - ref) <= 4.0 * EPS * (1.0 + g / 2.0) * ref
+    # at and past the contact, and clamped at the shock
+    s, bad = _curved_s(np.array([0.0, -1.0, 5.0]), B, np.array([1.0, 1.0, 0.25]))
+    assert bad.tolist() == [True, True, False] and s[2] == pytest.approx(0.25)
+
+
+def test_curved_profile_independent_of_batch():
+    law = WCurvedV(math.sqrt(2.0), 1.0, 0.0)
+    t = np.full(501, 6.0)
+    x = np.linspace(float(law.singular_locus(6.0)), 6.0 * math.sqrt(2.0) + 2.0, 501)
+    v = law(x, t)
+    assert np.array_equal(v, [law(float(a), float(b)) for a, b in zip(x, t)])
 
 
 def test_w_straight_profile_value_and_blowup():

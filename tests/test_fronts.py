@@ -4,15 +4,20 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import Line, LogCurve, Point, SqrtCurve, TabulatedStrength
+from deltashock.core import (
+    FanExpV,
+    Line,
+    LogCurve,
+    Point,
+    SqrtCurve,
+    TabulatedStrength,
+)
 from deltashock.fronts import (
     breakdown_time,
     characteristic_in_fan,
     fan_delta_trajectory,
     intersect,
     line_crossings,
-    shock_left_trace,
-    strength_rate,
 )
 from deltashock.interact import run
 
@@ -170,28 +175,29 @@ def test_line_crossings_match_dense_sampling(geom, X):
         == got[1:-1]
 
 
-def test_shock_left_trace_case5_form():
-    B = math.sqrt(2.0)
-    curve = SqrtCurve(0.0, 2.0 * B, t_lo=0.5)
-    trace = shock_left_trace(curve, right_u=lambda t: 0.0 * t,
-                             right_v=lambda t: 1.0 + 0.0 * t,
-                             left_u=lambda t: curve.pos(t) / t)
-    assert trace(8.0) == pytest.approx(3.0)
-    assert trace(1e8) == pytest.approx(1.0, rel=1e-3)
-    # blow-up like (sqrt(t) - sqrt(ts))^-1 near the breakdown time
-    eps = 1e-6
-    t1 = 2.0 * (1.0 + eps) ** 2
-    assert trace(t1) * (math.sqrt(t1) - math.sqrt(2.0)) \
-        == pytest.approx(2.0 * B, rel=1e-4)
-    with pytest.raises(ValueError):
-        trace(1.9)
-
-
-def test_strength_rate_examples():
-    assert strength_rate(3.0, (6.0, 1.0), (0.0, 1.0)) == pytest.approx(6.0)
-    assert strength_rate(2.2, (1.5, 0.7), (1.5, 0.7)) == 0.0
-    # fan-entry value equals the straight-segment deficit just before entry
-    assert strength_rate(2.5, (4.0, 1.0), (1.0, 1.0)) == pytest.approx(3.0)
+@pytest.mark.parametrize("name", ["case4iia", "case4iib", "case4iic",
+                                  "case5_bif_left", "case5_bif_mid"])
+def test_w_trace_on_shock_satisfies_v_rankine_hugoniot(name):
+    # the singular region behind a bifurcated shock (WStraightV beside the
+    # fan, WCurvedV inside it) meets the shock with c'[v] = [(u-1)v], also
+    # where its trace blows up like (sqrt(t - tc) - B)^-1 at breakdown
+    sol = run(BATTERY[name])
+    bd = next(e for e in sol.events if e.rule == "BreakdownBifurcation")
+    shock = sol.fronts[bd.outgoing[1]]
+    curve = shock.geom
+    B = 0.5 * abs(curve.K)
+    t_end = min(shock.death, bd.t + 10.0)
+    ts = bd.t + (t_end - bd.t) * np.geomspace(1e-4, 1.0, 200)
+    uL, vL, uR, vR = (np.asarray(tr(ts)) for tr in shock.traces)
+    cp = np.asarray(curve.slope(ts))
+    deficit = cp * (vR - vL) - ((uR - 1.0) * vR - (uL - 1.0) * vL)
+    scale = (np.abs(cp) + np.abs(uL) + np.abs(uR) + 1.0) * (np.abs(vL) + np.abs(vR))
+    gap = np.sqrt(ts - curve.tc) - B
+    # the trace's rounding is amplified by sqrt(y)/gap, up to 1e4 here
+    tol = 2.0 * np.finfo(float).eps * np.sqrt(ts - curve.tc) / gap
+    assert np.all(np.abs(deficit) <= tol * scale)
+    assert np.all(np.abs(vL * gap) <= 4.0 * B * np.max(np.abs(vR)))
+    assert abs(vL[0] * gap[0]) >= 0.5 * B * abs(vR[0])
 
 
 def test_strength_rate_continuous_at_fan_entry():
@@ -205,8 +211,28 @@ def test_strength_rate_continuous_at_fan_entry():
 
 
 def test_strength_integrate_constant_rate():
-    law = TabulatedStrength(lambda t: 3.0 + 0.0 * t, 0.5, 2.0, gamma0=1.0)
-    assert law(2.0) == pytest.approx(1.0 + 4.5, abs=1e-12)
+    # K = 0: the delta rides the fan's characteristic x = u_k t, the fan-side
+    # trace v_ref e^(u_k - u_ref) is constant, and so is the rate
+    vf = 2.0 * math.exp(1.5 - 3.0)
+    for sigma in (1.0, -1.0):
+        law = TabulatedStrength(SqrtCurve(1.5, 0.0), FanExpV(2.0, 3.0), 0.5,
+                                sigma, 0.5, 2.0, 1.0)
+        assert law.rate(1.3) == pytest.approx(sigma * (vf - 0.5), rel=1e-15)
+        assert law(2.0) == pytest.approx(1.0 + 1.5 * sigma * (vf - 0.5),
+                                         rel=1e-15)
+
+
+def test_line_crossings_past_float_range_are_no_event():
+    # x = 1 meets x = y (2000 - ln y) at y ~ 1/2000 and y ~ e^2000, and
+    # x = sqrt(y) at the same sqrt(y) ~ 1/2000 and e^1000: the late roots
+    # are no event
+    far, line, sq = LogCurve(2000.0), Line(0.0, 1.0, 0.0), SqrtCurve(0.0, 1.0)
+    (t,) = line_crossings(line, far, 0.0, math.inf)
+    assert far.pos(t) == pytest.approx(1.0, rel=1e-12)
+    assert intersect(line, far, after=t) is None
+    p = intersect(sq, far, after=0.0)
+    assert sq.pos(p.t) == pytest.approx(far.pos(p.t), rel=1e-12)
+    assert intersect(sq, far, after=p.t) is None
 
 
 def test_w_profile_straight_example():

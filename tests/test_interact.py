@@ -287,3 +287,14 @@ def test_random_scenarios_terminate(case):
             ev_t = sol.events[-1].t if sol.events else 0.5
             phi = TestFunction(ev_t * 0.8 + 0.05, 0.0, ev_t * 0.4 + 0.05, 2.0)
             assert weak_residual_rel(sol, phi) <= 1e-6
+
+
+def test_fan_spanning_2000_tracks_without_overflow():
+    # crossing times near e^2000 and a fan-side trace v e^(u - u_ref) that
+    # spans e^-2000 must neither overflow nor be mistaken for events
+    sol = run(sc(-1000, 1000, 0, +1.0))
+    assert [e.rule for e in sol.events] == ["DeltaEntersFan",
+                                            "BreakdownBifurcation"]
+    assert sol.events[1].t == pytest.approx(500.0, rel=1e-14)
+    for fid, lo, hi in overcompressibility_report(sol):
+        assert lo > 0.0 and hi > 0.0

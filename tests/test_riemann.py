@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from deltashock.core import FrontKind, State
+from deltashock.core import ConstantStrength, Front, FrontKind, Line, State
 from deltashock.interact import fan_solution
 from deltashock.riemann import (
     WaveCase,
     classify,
     rh_deficit,
     solve_grp,
-    solve_riemann,
-    split_strength,
     v_star,
 )
 from deltashock.verify import TestFunction, weak_residual
@@ -66,15 +64,27 @@ def test_v_star_kills_the_deficit():
         assert abs(s) <= 1e-12 * (1.0 + abs(vs) + abs(v_r))
 
 
+def split(alpha, speed, u_l, u_r):
+    """(alpha0, alpha1) of an atom of strength alpha on a front of the given
+    speed between constant u_l and u_r, through Front.atom."""
+    const = lambda c: (lambda t: c)
+    f = Front(0, FrontKind.DELTA_SHOCK, Line(0.0, 0.0, speed), 0, 1,
+              ConstantStrength(alpha),
+              (const(u_l), const(1.0), const(u_r), const(1.0)))
+    a, a0, a1 = f.atom(1.0)
+    assert a == alpha
+    return float(a0), float(a1)
+
+
 def test_split_strength_examples():
-    a0, a1 = split_strength(2.0, 3.0, 6.0, 0.0)
+    a0, a1 = split(2.0, 3.0, 6.0, 0.0)
     assert (a0, a1) == (pytest.approx(4.0 / 3.0), pytest.approx(2.0 / 3.0))
     assert -3.0 * 2.0 + 5.0 * a0 + (-1.0) * a1 == pytest.approx(0.0, abs=1e-12)
-    assert split_strength(0.0, 1.0, 4.0, 0.0) == (0.0, 0.0)
-    a0, a1 = split_strength(1.0, 3.0, 4.0, 0.0)
+    assert split(0.0, 1.0, 4.0, 0.0) == (0.0, 0.0)
+    a0, a1 = split(1.0, 3.0, 4.0, 0.0)
     assert (a0, a1) == (pytest.approx(1.0), pytest.approx(0.0, abs=1e-15))
-    with pytest.raises(ValueError):
-        split_strength(1.0, 1.0, 2.0, 2.0)
+    # a contact-riding atom (u_l = u_r) splits evenly by convention
+    assert split(1.0, 1.0, 2.0, 2.0) == (0.5, 0.5)
 
 
 @given(alpha=st.floats(min_value=0, max_value=10),
@@ -84,14 +94,14 @@ def test_split_strength_examples():
 def test_split_nonnegative_and_delta_prime_identity(alpha, u_r, gap, frac):
     u_l = u_r + gap
     speed = u_r + frac * (u_l - 1.0 - u_r)  # inside the overcompressive range
-    a0, a1 = split_strength(alpha, speed, u_l, u_r)
+    a0, a1 = split(alpha, speed, u_l, u_r)
     assert a0 >= -1e-12 and a1 >= -1e-12
     ident = -speed * alpha + (u_l - 1.0) * a0 + (u_r - 1.0) * a1
     assert abs(ident) <= 1e-12 * (1.0 + abs(alpha) * (1 + abs(u_l) + abs(u_r)))
 
 
 def test_solve_riemann_rarefaction_contact():
-    fan = solve_riemann(State(0, 1), State(1, math.e))
+    fan = solve_grp(State(0, 1), State(1, math.e), 0.0)
     assert fan.case is WaveCase.RAREFACTION_CONTACT
     kinds = [p.kind for p in fan.fronts]
     assert kinds == [FrontKind.CONTACT, FrontKind.FAN_EDGE, FrontKind.FAN_EDGE]
@@ -105,7 +115,7 @@ def test_solve_riemann_rarefaction_contact():
 
 
 def test_solve_riemann_delta_shock():
-    fan = solve_riemann(State(4, 1), State(0, 1))
+    fan = solve_grp(State(4, 1), State(0, 1), 0.0)
     assert fan.case is WaveCase.DELTA_SHOCK
     (piece,) = fan.fronts
     assert piece.geom.m == pytest.approx(2.0)
@@ -113,7 +123,7 @@ def test_solve_riemann_delta_shock():
 
 
 def test_solve_riemann_equal_states():
-    fan = solve_riemann(State(2, 3), State(2, 3))
+    fan = solve_grp(State(2, 3), State(2, 3), 0.0)
     assert fan.fronts == ()
 
 
