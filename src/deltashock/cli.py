@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 invalid scenario/input, 3 verification failure,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -40,6 +41,36 @@ def _fmt(x: float) -> str:
     return format(x, ".12g")
 
 
+# option: (count of numbers, requirement, test of the numbers)
+_OPTIONS = {
+    "grid": (2, "two integers NX,NT >= 2",
+             lambda *n: all(x >= 2 and x.is_integer() for x in n)),
+    "window": (2, "two finite numbers X0,X1 with X0 < X1",
+               lambda a, b: -math.inf < a < b < math.inf),
+    "t_max": (1, "a finite number > 0", lambda t: 0.0 < t < math.inf),
+}
+
+
+def _option(name: str, value):
+    """Validate the grid, window or t_max of a scenario file (a JSON number
+    or list) or of the command line (text "A,B"); ``name`` is the key or
+    the flag.  Returns (nx, nt), (x0, x1) or t_max; raises ScenarioError
+    naming the option."""
+    key = name.lstrip("-").replace("-", "_")
+    count, need, test = _OPTIONS[key]
+    items = (value.split(",") if isinstance(value, str)
+             else value if isinstance(value, list) else [value])
+    try:
+        nums = [float(p) for p in items]
+    except (TypeError, ValueError, OverflowError):
+        nums = []
+    if len(nums) != count or not test(*nums):
+        raise ScenarioError(f"{name} must be {need}, got {value!r}")
+    if key == "grid":
+        return int(nums[0]), int(nums[1])
+    return tuple(nums) if count == 2 else nums[0]
+
+
 def parse_scenario(path) -> tuple[Scenario, dict]:
     """Read a scenario JSON file; returns the validated Scenario and the
     emission options (grid, window, outputs) with defaults filled in."""
@@ -51,22 +82,19 @@ def parse_scenario(path) -> tuple[Scenario, dict]:
             raise ScenarioError("states must hold exactly three [u, v] pairs")
         l, m, r = (State(float(u), float(v)) for (u, v) in states)
         sc = Scenario(l, m, r, float(raw["offset"]),
-                      float(raw.get("t_max", 10.0)))
+                      _option("t_max", raw.get("t_max", 10.0)))
     except (KeyError, TypeError, ValueError) as exc:
         if isinstance(exc, ScenarioError):
             raise
         raise ScenarioError(f"malformed scenario file: {exc}") from exc
     validate_scenario(sc)
-    grid = raw.get("grid", [201, 101])
-    if len(grid) != 2 or grid[0] < 2 or grid[1] < 2:
-        raise ScenarioError("grid must be [nx, nt] with nx, nt >= 2")
     opts = {
-        "grid": (int(grid[0]), int(grid[1])),
-        "window": tuple(raw["window"]) if "window" in raw else None,
+        "grid": _option("grid", raw.get("grid", [201, 101])),
+        "window": _option("window", raw["window"]) if "window" in raw else None,
         "outputs": raw.get("outputs", {}),
     }
-    if opts["window"] is not None and not opts["window"][0] < opts["window"][1]:
-        raise ScenarioError("window must be [x_min, x_max] with x_min < x_max")
+    if not isinstance(opts["outputs"], dict):
+        raise ScenarioError(f"outputs must be an object, got {opts['outputs']!r}")
     return sc, opts
 
 
@@ -106,10 +134,18 @@ def _front_times(front, t_max: float, n: int = 64):
 def _grid_rows(head: str, t_grid, vals) -> list:
     """CSV lines of a field grid: the header, then per time row the time and
     the row's values in %.12g, which writes the same text as
-    ``format(x, ".12g")``, inf and -inf included."""
-    row = ",".join(["%.12g"] * (vals.shape[1] + 1))
-    return [head] + [row % tuple(r)
-                     for r in np.column_stack([t_grid, vals]).tolist()]
+    ``format(x, ".12g")``, inf and -inf included.
+
+    Each run of bitwise-equal neighbours in a row (a constant state) is
+    formatted once.  Bits, not values, decide a run, so -0.0 beside 0.0
+    still prints as -0 and 0; column 0 always starts a run."""
+    grid = np.column_stack([t_grid, vals])
+    bits = grid.view(np.int64)
+    heads = np.ones(grid.shape, dtype=bool)
+    heads[:, 1:] = bits[:, 1:] != bits[:, :-1]
+    text = np.array(["%.12g" % x for x in grid[heads].tolist()], dtype=object)
+    cells = text[np.cumsum(heads).reshape(grid.shape) - 1]
+    return [head] + [",".join(r) for r in cells.tolist()]
 
 
 def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
@@ -271,13 +307,11 @@ def _parse_state(text: str) -> State:
 def _cmd_solve(args) -> int:
     sc, opts = parse_scenario(args.scenario)
     if args.t_max is not None:
-        sc = Scenario(sc.left, sc.middle, sc.right, sc.offset, args.t_max)
-    nx, nt = opts["grid"]
-    if args.grid:
-        nx, nt = (int(p) for p in args.grid.split(","))
-    window = opts["window"]
-    if args.window:
-        window = tuple(float(p) for p in args.window.split(","))
+        sc = Scenario(sc.left, sc.middle, sc.right, sc.offset,
+                      _option("--t-max", args.t_max))
+    nx, nt = opts["grid"] if args.grid is None else _option("--grid", args.grid)
+    window = (opts["window"] if args.window is None
+              else _option("--window", args.window))
     sol = run(sc)
     svg = args.svg or bool(opts["outputs"].get("svg", True))
     written = emit(sol, args.out, nx=nx, nt=nt, window=window, svg=svg)
@@ -350,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="solve a scenario and emit outputs")
     p.add_argument("scenario", help="scenario JSON file")
-    p.add_argument("--t-max", type=float, default=None)
+    p.add_argument("--t-max", help="end time T > 0")
     p.add_argument("--grid", help="NX,NT sample grid")
     p.add_argument("--window", help="X0,X1 sample window")
     p.add_argument("--out", default="out", help="output directory")
@@ -379,8 +413,14 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built on first use, once per process: parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ScenarioError as exc:

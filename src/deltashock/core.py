@@ -538,6 +538,15 @@ class Region:
         raise ValueError(f"region {self.rid} ({self.label}) is not constant")
 
 
+def split_weight(uL, uR, slope):
+    """Left-sided weight w0 of an atom with traces uL, uR on a front of the
+    given slope (arrays): the root of the delta'-coefficient condition, or
+    0.5 where |uL - uR| < 1e-12 (see ``Front.split_fraction``)."""
+    du = uL - uR
+    even = np.abs(du) < 1e-12
+    return np.where(even, 0.5, (slope - uR + 1.0) / np.where(even, 1.0, du))
+
+
 @dataclass
 class Front:
     """A discontinuity curve with its kind, geometry, neighbours and atom law.
@@ -575,13 +584,10 @@ class Front:
         """
         u_left, _, u_right, _ = self.traces
         t = np.asarray(t, dtype=float)
-        uL = np.asarray(u_left(t), dtype=float)
-        uR = np.asarray(u_right(t), dtype=float)
-        du = uL - uR
-        even = np.abs(du) < 1e-12
-        w0 = np.where(even, 0.5, (np.asarray(self.geom.slope(t)) - uR + 1.0)
-                      / np.where(even, 1.0, du))
-        return _returns_like(t, w0)
+        return _returns_like(t, split_weight(
+            np.asarray(u_left(t), dtype=float),
+            np.asarray(u_right(t), dtype=float),
+            np.asarray(self.geom.slope(t))))
 
     def atom(self, t):
         """(alpha, alpha0, alpha1): the strength at t and its left- and

@@ -28,6 +28,7 @@ from .core import (
     Solution,
     SqrtCurve,
     State,
+    split_weight,
 )
 from .fronts import line_crossings
 from .interact import ScenarioError, validate_scenario
@@ -373,10 +374,13 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             for f, c in zip(fronts, pos):
                 if not f.kind.carries_atom:
                     continue
-                alpha, a0, a1 = f.atom(tn)
                 u_left, _, u_right, _ = f.traces
-                m = (np.asarray(a0) * (np.asarray(u_left(tn)) - 1.0)
-                     + np.asarray(a1) * (np.asarray(u_right(tn)) - 1.0))
+                uL = np.asarray(u_left(tn), dtype=float)
+                uR = np.asarray(u_right(tn), dtype=float)
+                alpha = f.strength(tn)
+                w0 = split_weight(uL, uR, np.asarray(f.geom.slope(tn)))
+                m = (alpha * w0 * (uL - 1.0)
+                     + alpha * (1.0 - w0) * (uR - 1.0))
                 rc = (c - phi.xc) / phi.sx
                 R[-1] += float(np.sum(dbt * alpha * phi._bump(rc)
                                       + bt * m * phi._dbump(rc) / phi.sx))

@@ -1,10 +1,12 @@
 import json
+import struct
 
 import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.cli import _front_times, emit, main, parse_scenario, scenario_to_dict
+from deltashock.cli import (_front_times, _grid_rows, emit, main,
+                            parse_scenario, scenario_to_dict)
 from deltashock.core import State
 from deltashock.evaluate import sample
 from deltashock.interact import fan_solution, run
@@ -44,6 +46,35 @@ def test_invalid_scenario_exits_2(tmp_path, capsys):
 
 def test_missing_file_exits_2(tmp_path):
     assert main(["solve", str(tmp_path / "nope.json")]) == 2
+
+
+@pytest.mark.parametrize("args, extra", [
+    pytest.param(["--grid", "a,b"], {}, id="grid-not-numbers"),
+    pytest.param(["--grid", "3"], {}, id="grid-one-number"),
+    pytest.param(["--grid", "1,1"], {}, id="grid-below-2"),
+    pytest.param(["--grid", "20.5,10"], {}, id="grid-not-integer"),
+    pytest.param(["--window", "1"], {}, id="window-one-number"),
+    pytest.param(["--window", "5,1"], {}, id="window-reversed"),
+    pytest.param(["--window", "0,inf"], {}, id="window-infinite"),
+    pytest.param(["--t-max", "-1"], {}, id="t-max-negative"),
+    pytest.param(["--t-max", "nan"], {}, id="t-max-nan"),
+    pytest.param([], {"grid": "ab"}, id="file-grid-text"),
+    pytest.param([], {"grid": [1, 1]}, id="file-grid-below-2"),
+    pytest.param([], {"window": ["a", "b"]}, id="file-window-text"),
+    pytest.param([], {"window": [5, 1]}, id="file-window-reversed"),
+    pytest.param([], {"t_max": -1}, id="file-t-max-negative"),
+    pytest.param([], {"outputs": [1]}, id="file-outputs-not-object"),
+])
+def test_bad_solve_option_exits_2(args, extra, tmp_path, capsys):
+    p = tmp_path / "s.json"
+    json.dump({"states": [[6, 1], [3, 1], [0, 1]], "offset": -1.0, **extra},
+              p.open("w"))
+    assert main(["solve", str(p), "--out", str(tmp_path / "o"), *args]) == 2
+    err = capsys.readouterr().err
+    name = args[0] if args else next(iter(extra))
+    assert err.startswith(f"error: {name} must be")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_tracking_failure_exits_4(tmp_path, capsys):
@@ -177,10 +208,34 @@ def _reference_files(sol, nx, nt, window):
         ("atoms.csv", atom_rows))}
 
 
-@pytest.mark.parametrize("name", list(BATTERY))
-def test_emit_matches_per_point_reference(name, tmp_path):
+@pytest.mark.parametrize("name, nx, nt", [
+    *(pytest.param(name, 41, 17, id=name) for name in BATTERY),
+    # the default grid: case1's rows are all runs, case5_bif_left's have
+    # about 15k run heads
+    pytest.param("case1", 201, 101, id="case1-201x101"),
+    pytest.param("case5_bif_left", 201, 101, id="case5_bif_left-201x101"),
+])
+def test_emit_matches_per_point_reference(name, nx, nt, tmp_path):
     sol = run(BATTERY[name])
     window = auto_window(sol, sol.t_max_computed, pad=0.5)
-    emit(sol, tmp_path, nx=41, nt=17, window=window, svg=False)
-    for fname, text in _reference_files(sol, 41, 17, window).items():
+    emit(sol, tmp_path, nx=nx, nt=nt, window=window, svg=False)
+    for fname, text in _reference_files(sol, nx, nt, window).items():
         assert (tmp_path / fname).read_text() == text, fname
+
+
+def test_grid_rows_runs_match_per_value_format():
+    nan1, nan2 = (struct.unpack("<d", struct.pack("<Q", b))[0]
+                  for b in (0x7FF8000000000001, 0x7FF8000000000002))
+    inf = float("inf")
+    t = np.array([1.0, 2.5, 3.0])
+    vals = np.array([
+        [-0.0, 0.0, 0.0, -0.0, nan1, nan2, nan2, 1.0],
+        [inf, inf, -inf, -inf, 0.1, 0.1, 3.0, 3.0],  # the run ends the row
+        [3.0, 3.0, 1 / 3, 1 / 3, 1 / 3, -inf, inf, 2.5],  # t = last of row 1
+    ])
+    fmt = lambda x: format(x, ".12g")
+    expect = ["h"] + [",".join(fmt(x) for x in [ti, *row])
+                      for ti, row in zip(t.tolist(), vals.tolist())]
+    assert _grid_rows("h", t, vals) == expect
+    assert expect[1] == "1,-0,0,0,-0,nan,nan,nan,1"
+    assert expect[3] == "3,3,3,0.333333333333,0.333333333333,0.333333333333,-inf,inf,2.5"
