@@ -44,7 +44,7 @@ from .interact import (
     validate_scenario,
 )
 from .evaluate import Atom, Sample, atoms_at, sample
-from .battery import BATTERY, battery_scenarios
+from .battery import BATTERY
 
 __version__ = "1.0.0"
 
@@ -53,7 +53,7 @@ __all__ = [
     "FrontKind", "Line", "LogCurve", "Point", "Region", "RESOLUTION_RULES",
     "Sample", "Scenario", "ScenarioError", "Solution", "SqrtCurve", "State",
     "TabulatedStrength", "TrackingError", "WaveCase", "WaveFan",
-    "atoms_at", "battery_scenarios", "breakdown_time",
+    "atoms_at", "breakdown_time",
     "characteristic_in_fan", "classify",
     "fan_delta_trajectory", "fan_solution", "intersect", "rh_deficit", "run",
     "sample", "solve_grp", "v_star", "validate_scenario",

@@ -27,7 +27,3 @@ BATTERY: dict[str, Scenario] = {
     # the delta exits the fan before losing overcompressibility
     "case5_nobif": Scenario(State(3, 1), State(4, 1), State(0, 1), offset=+1.0),
 }
-
-
-def battery_scenarios() -> dict[str, Scenario]:
-    return dict(BATTERY)

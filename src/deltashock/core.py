@@ -62,10 +62,8 @@ class Point:
 # ---------------------------------------------------------------------------
 
 class CurveGeometry:
-    """Base for discontinuity-curve geometries; position/slope evaluable in t."""
-
-    t_lo: float
-    t_hi: float
+    """Base for discontinuity-curve geometries; position/slope evaluable in t.
+    It has no lifetime; the carrying front's ``birth`` and ``death`` bound it."""
 
     def pos(self, t):
         raise NotImplementedError
@@ -81,8 +79,6 @@ class Line(CurveGeometry):
     t0: float
     x0: float
     m: float
-    t_lo: float = 0.0
-    t_hi: float = INF
 
     def pos(self, t):
         t = np.asarray(t, dtype=float)
@@ -106,8 +102,6 @@ class SqrtCurve(CurveGeometry):
     K: float
     tc: float = 0.0
     xc: float = 0.0
-    t_lo: float = 0.0
-    t_hi: float = INF
 
     def pos(self, t):
         t = np.asarray(t, dtype=float)
@@ -131,8 +125,6 @@ class LogCurve(CurveGeometry):
     C: float
     tc: float = 0.0
     xc: float = 0.0
-    t_lo: float = 0.0
-    t_hi: float = INF
 
     def pos(self, t):
         t = np.asarray(t, dtype=float)
@@ -518,15 +510,12 @@ class FrontKind(Enum):
 
 @dataclass(frozen=True)
 class Region:
-    """A region with its field laws.  ``singular_fid`` names the front
-    carrying the -1/2-power blow-up of the v-law (graded quadrature applies
-    only while that front is the region's actual left boundary)."""
+    """A region with its field laws."""
 
     rid: int
     u_law: FieldLaw
     v_law: FieldLaw
     label: str = ""
-    singular_fid: Optional[int] = None
 
     @property
     def singular_left(self) -> bool:

@@ -36,23 +36,21 @@ def fan_delta_trajectory(entry: Point, u_const: float, fan_center: Point) -> Sqr
         raise ValueError("entry point must lie strictly later than the fan center")
     dx = entry.x - fan_center.x
     K = (dx - u_const * dt) / math.sqrt(dt)
-    return SqrtCurve(u_const, K, fan_center.t, fan_center.x, t_lo=entry.t)
+    return SqrtCurve(u_const, K, fan_center.t, fan_center.x)
 
 
-def breakdown_time(curve: SqrtCurve) -> Optional[float]:
+def breakdown_time(curve: SqrtCurve, after: float) -> Optional[float]:
     """Time at which a fan-interior delta trajectory loses overcompressibility.
 
     The margin |K|/(2 sqrt(t - tc)) - 1 crosses zero at t_s = tc + K^2/4;
     there the constant-side inequality u_k -/+ 1 >< c'(t) becomes an equality
-    and the fan-side trace equals u_k -/+ 2.  None when K = 0 or t_s falls
-    outside the curve's range.
+    and the fan-side trace equals u_k -/+ 2.  None when K = 0 or t_s is not
+    a finite time later than ``after`` (the time the delta entered the fan).
     """
     if curve.K == 0.0:
         return None
     ts = curve.tc + 0.25 * curve.K * curve.K
-    if ts <= curve.t_lo or ts >= curve.t_hi:
-        return None
-    return ts
+    return ts if after < ts < INF else None
 
 
 def characteristic_in_fan(through: Point, fan_center: Point) -> LogCurve:
@@ -62,7 +60,7 @@ def characteristic_in_fan(through: Point, fan_center: Point) -> LogCurve:
         raise ValueError("characteristic anchor must lie after the fan center")
     dx = through.x - fan_center.x
     C = dx / dt + math.log(dt)
-    return LogCurve(C, fan_center.t, fan_center.x, t_lo=through.t)
+    return LogCurve(C, fan_center.t, fan_center.x)
 
 
 def line_crossings(line: Line, geom: CurveGeometry, lo: float,

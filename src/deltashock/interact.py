@@ -3,20 +3,23 @@
 A scenario is two Riemann fans (one of which is a delta shock) released from
 x = offset and x = 0.  The tracker repeatedly finds the earliest interaction
 among adjacent fronts (plus scheduled overcompressibility breakdowns) and
-applies one of seven resolution rules; the five classical interaction cases
-and their sub-cases all emerge from those rules rather than being scripted.
+records it under one of seven rule names; the five classical interaction
+cases and their sub-cases all emerge from those rules rather than being
+scripted.  Four resolvers build the outgoing fronts: MergeDeltas,
+ShockHitsDelta, DeltaCrossesContact and FrontExitsFan are one generalized
+Riemann problem at the event point, with the incoming atoms' total mass as
+its initial atom (front tracking, Holden & Risebro 2002); DeltaEntersFan,
+BreakdownBifurcation and ContactContinuation have one resolver each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import replace
 from typing import Optional
 
 import numpy as np
 
 from .core import (
-    AffineStrength,
     ConstLaw,
     ConstantStrength,
     Epoch,
@@ -45,7 +48,7 @@ from .fronts import (
     fan_delta_trajectory,
     intersect,
 )
-from .riemann import WaveCase, rh_deficit, solve_grp, v_star
+from .riemann import WaveCase, solve_grp, v_star
 
 RULE_MERGE_DELTAS = "MergeDeltas"
 RULE_DELTA_CROSSES_CONTACT = "DeltaCrossesContact"
@@ -151,10 +154,6 @@ class _Tracker:
         self.regions[rid] = Region(rid, u_law, v_law, label)
         return rid
 
-    def _bind_singular(self, rid: int, fid: int):
-        # graded quadrature applies only against this carrying front
-        self.regions[rid] = replace(self.regions[rid], singular_fid=fid)
-
     def _traces(self, geom, lrid: int, rrid: int):
         lr, rr = self.regions[lrid], self.regions[rrid]
 
@@ -200,15 +199,9 @@ class _Tracker:
         inner = [self._new_region(u_law, v_law, "fan-inner")
                  for (u_law, v_law) in fan.regions[1:-1]]
         rids = [left_rid] + inner + [right_rid]
-        fids = []
-        for k, piece in enumerate(fan.fronts):
-            geom = piece.geom
-            if geom.t_lo != fan.origin.t:
-                geom = Line(geom.t0, geom.x0, geom.m, t_lo=fan.origin.t)
-            fids.append(self._new_front(piece.kind, geom, rids[k], rids[k + 1],
-                                        strength=piece.strength,
-                                        birth=fan.origin.t))
-        return fids, inner
+        return [self._new_front(piece.kind, piece.geom, rids[k], rids[k + 1],
+                                strength=piece.strength, birth=fan.origin.t)
+                for k, piece in enumerate(fan.fronts)]
 
     def build_initial(self):
         sc = self.sc
@@ -221,9 +214,8 @@ class _Tracker:
         rid_r = self._new_region(ConstLaw(sc.right.u), ConstLaw(sc.right.v), "right")
         fan_l = solve_grp(sc.left, sc.middle, 0.0, left_origin)
         fan_r = solve_grp(sc.middle, sc.right, 0.0, right_origin)
-        fids_l, _ = self._materialize_fan(fan_l, rid_l, rid_m)
-        fids_r, _ = self._materialize_fan(fan_r, rid_m, rid_r)
-        fronts = tuple(fids_l + fids_r)
+        fronts = tuple(self._materialize_fan(fan_l, rid_l, rid_m)
+                       + self._materialize_fan(fan_r, rid_m, rid_r))
         regions = self._regions_for(fronts, rid_l, rid_r)
         self.epochs.append(Epoch(0.0, INF, fronts, regions))
 
@@ -286,20 +278,19 @@ class _Tracker:
             return self._resolve_breakdown(ev)
         kindset = set(kinds)
         if kindset == {FrontKind.DELTA_SHOCK}:
-            return self._resolve_merge(ev, RULE_MERGE_DELTAS)
+            return self._resolve_riemann(ev, RULE_MERGE_DELTAS)
         if kindset == {FrontKind.DELTA_SHOCK, FrontKind.SHOCK}:
-            return self._resolve_merge(ev, RULE_SHOCK_HITS_DELTA)
+            return self._resolve_riemann(ev, RULE_SHOCK_HITS_DELTA)
         if kindset == {FrontKind.DELTA_SHOCK, FrontKind.CONTACT}:
-            return self._resolve_delta_crosses_contact(ev)
+            return self._resolve_riemann(ev, RULE_DELTA_CROSSES_CONTACT)
         if FrontKind.FAN_EDGE in kindset and len(ev.incoming) == 2:
             other = next(self.fronts[f] for f in ev.incoming
                          if self.fronts[f].kind is not FrontKind.FAN_EDGE)
             if other.kind is FrontKind.DELTA_SHOCK and isinstance(other.geom, Line):
                 return self._resolve_delta_enters_fan(ev)
-            if other.kind is FrontKind.DELTA_SHOCK:
-                return self._resolve_front_exits_fan(ev, other)
-            if other.kind is FrontKind.SHOCK and isinstance(other.geom, SqrtCurve):
-                return self._resolve_front_exits_fan(ev, other)
+            if other.kind is FrontKind.DELTA_SHOCK or (
+                    other.kind is FrontKind.SHOCK and isinstance(other.geom, SqrtCurve)):
+                return self._resolve_riemann(ev, RULE_FRONT_EXITS_FAN)
             if other.kind is FrontKind.DELTA_CONTACT and isinstance(other.geom, LogCurve):
                 return self._resolve_contact_continuation(ev)
         raise TrackingError(
@@ -338,31 +329,45 @@ class _Tracker:
 
     # -- resolution rules ----------------------------------------------------
 
-    def _resolve_merge(self, ev, rule):
-        lrid, rrid = self._outer_regions(ev)
-        state_l = self.regions[lrid].const_state()
-        state_r = self.regions[rrid].const_state()
-        gamma = sum(self.fronts[f].strength(ev.t) for f in ev.incoming
-                    if self.fronts[f].strength is not None)
-        fan = solve_grp(state_l, state_r, gamma, Point(ev.t, ev.x))
-        fids, _ = self._materialize_fan(fan, lrid, rrid)
-        self._commit(ev, rule, fids)
+    def _const_state(self, rid: int) -> State:
+        try:
+            return self.regions[rid].const_state()
+        except ValueError as exc:
+            raise TrackingError(str(exc)) from None
 
-    def _resolve_delta_crosses_contact(self, ev):
-        delta = next(self.fronts[f] for f in ev.incoming
-                     if self.fronts[f].kind is FrontKind.DELTA_SHOCK)
+    def _resolve_riemann(self, ev, rule):
+        """The generalized Riemann problem between the two outer states with
+        the incoming atoms' total mass.  A shock leaving the fan has the
+        singular w-region (u0) on its left, whose trace there must be v*;
+        (u0, v*) stands in for it."""
         lrid, rrid = self._outer_regions(ev)
-        state_l = self.regions[lrid].const_state()
-        state_r = self.regions[rrid].const_state()
-        speed = 0.5 * (state_l.u + state_r.u)
-        if abs(speed - delta.geom.m) > 1e-9 * (1.0 + abs(speed)):
-            raise TrackingError("delta speed changed across a contact")
-        law = AffineStrength(rh_deficit(state_l, state_r, speed),
-                             delta.strength(ev.t), ev.t)
-        fid = self._new_front(FrontKind.DELTA_SHOCK,
-                              Line(ev.t, ev.x, speed, t_lo=ev.t),
-                              lrid, rrid, strength=law, birth=ev.t)
-        self._commit(ev, RULE_DELTA_CROSSES_CONTACT, [fid])
+        incoming = [self.fronts[f] for f in ev.incoming]
+        deltas = [f for f in incoming if f.kind is FrontKind.DELTA_SHOCK]
+        state_r = self._const_state(rrid)
+        if rule == RULE_FRONT_EXITS_FAN and not deltas:
+            left = self.regions[lrid]
+            if not (isinstance(left.u_law, ConstLaw) and left.v_law.singular_left):
+                raise TrackingError("unexpected exit orientation for a shock")
+            u0 = left.u_law.value
+            v_tilde = v_star(u0, state_r.u, state_r.v)
+            w_trace = left.v_law(ev.x, ev.t)
+            if abs(w_trace - v_tilde) > 1e-10 * (1.0 + abs(v_tilde)):
+                raise TrackingError(
+                    f"w-trace {w_trace} does not match v* {v_tilde} at fan exit")
+            state_l = State(u0, v_tilde)
+        else:
+            state_l = self._const_state(lrid)
+        gamma = sum(f.strength(ev.t) for f in incoming if f.strength is not None)
+        fan = solve_grp(state_l, state_r, gamma, Point(ev.t, ev.x))
+        if deltas and fan.case is not WaveCase.DELTA_SHOCK:
+            raise TrackingError(
+                f"{rule}: a delta shock came in without the u-gap >= 2 "
+                f"(u_l={state_l.u}, u_r={state_r.u})")
+        if rule == RULE_DELTA_CROSSES_CONTACT:
+            speed = fan.fronts[0].geom.m
+            if abs(speed - deltas[0].geom.m) > 1e-9 * (1.0 + abs(speed)):
+                raise TrackingError("delta speed changed across a contact")
+        self._commit(ev, rule, self._materialize_fan(fan, lrid, rrid))
 
     def _resolve_delta_enters_fan(self, ev):
         delta = next(self.fronts[f] for f in ev.incoming
@@ -375,7 +380,7 @@ class _Tracker:
         center = Point(fan_reg.u_law.tc, fan_reg.u_law.xc)
         curve = fan_delta_trajectory(Point(ev.t, ev.x), const.u, center)
         gamma0 = delta.strength(ev.t)
-        t_s = breakdown_time(curve)
+        t_s = breakdown_time(curve, ev.t)
         # remaining fan edge: the front beyond the fan region in the new order
         ep, i, j = self._slice_bounds(ev)
         far_edge_idx = j + 1 if fan_on_right else i - 1
@@ -405,7 +410,6 @@ class _Tracker:
         gamma_s = delta.strength(ev.t)
         B = 0.5 * abs(curve.K)
         t_s, x_s = ev.t, ev.x
-        cont = SqrtCurve(curve.u_k, curve.K, curve.tc, curve.xc, t_lo=t_s)
         if isinstance(right.u_law, FanU):
             # constant state on the left: straight delta contact, slope u0 - 1
             u0 = left.const_state().u
@@ -415,61 +419,19 @@ class _Tracker:
                 WStraightV(B, u0, fan_v.v_ref, fan_v.u_ref,
                            x_s - (u0 - 1.0) * t_s),
                 "w-straight")
-            f1 = self._new_front(FrontKind.DELTA_CONTACT,
-                                 Line(t_s, x_s, u0 - 1.0, t_lo=t_s),
-                                 lrid, w_rid,
-                                 strength=ConstantStrength(gamma_s), birth=t_s)
-            f2 = self._new_front(FrontKind.SHOCK, cont, w_rid, rrid, birth=t_s)
-            self._bind_singular(w_rid, f1)
+            contact = Line(t_s, x_s, u0 - 1.0)
         else:
             # constant state on the right: the contact rides a fan characteristic
             st_r = right.const_state()
             center = Point(left.u_law.tc, left.u_law.xc)
-            gamma_curve = characteristic_in_fan(Point(t_s, x_s), center)
+            contact = characteristic_in_fan(Point(t_s, x_s), center)
             w_rid = self._new_region(FanU(center.t, center.x),
                                      WCurvedV(B, st_r.v, st_r.u),
                                      "w-curved")
-            f1 = self._new_front(FrontKind.DELTA_CONTACT, gamma_curve,
-                                 lrid, w_rid,
-                                 strength=ConstantStrength(gamma_s), birth=t_s)
-            f2 = self._new_front(FrontKind.SHOCK, cont, w_rid, rrid, birth=t_s)
-            self._bind_singular(w_rid, f1)
+        f1 = self._new_front(FrontKind.DELTA_CONTACT, contact, lrid, w_rid,
+                             strength=ConstantStrength(gamma_s), birth=t_s)
+        f2 = self._new_front(FrontKind.SHOCK, curve, w_rid, rrid, birth=t_s)
         self._commit(ev, RULE_BREAKDOWN, [f1, f2])
-
-    def _resolve_front_exits_fan(self, ev, exiting: Front):
-        lrid, rrid = self._outer_regions(ev)
-        left, right = self.regions[lrid], self.regions[rrid]
-        if exiting.kind is FrontKind.DELTA_SHOCK:
-            gamma = exiting.strength(ev.t)
-            state_l = left.const_state()
-            state_r = right.const_state()
-            fan = solve_grp(state_l, state_r, gamma, Point(ev.t, ev.x))
-            if fan.case is not WaveCase.DELTA_SHOCK:
-                raise TrackingError(
-                    f"delta shock exited a fan without the u-gap >= 2 "
-                    f"(u_l={state_l.u}, u_r={state_r.u})")
-            fids, _ = self._materialize_fan(fan, lrid, rrid)
-            self._commit(ev, RULE_FRONT_EXITS_FAN, fids)
-            return
-        # classical shock leaves the fan: contact + shock pair, with the
-        # singular region prolonged continuously across the new contact
-        if not (isinstance(left.u_law, ConstLaw) and left.v_law.singular_left):
-            raise TrackingError("unexpected exit orientation for a shock")
-        u0 = left.u_law.value
-        st_r = right.const_state()
-        v_tilde = v_star(u0, st_r.u, st_r.v)
-        w_trace = left.v_law(ev.x, ev.t)
-        if abs(w_trace - v_tilde) > 1e-10 * (1.0 + abs(v_tilde)):
-            raise TrackingError(
-                f"w-trace {w_trace} does not match v* {v_tilde} at fan exit")
-        mid_rid = self._new_region(ConstLaw(u0), ConstLaw(v_tilde), "post-exit")
-        f_contact = self._new_front(FrontKind.CONTACT,
-                                    Line(ev.t, ev.x, u0 - 1.0, t_lo=ev.t),
-                                    lrid, mid_rid, birth=ev.t)
-        f_shock = self._new_front(FrontKind.SHOCK,
-                                  Line(ev.t, ev.x, 0.5 * (u0 + st_r.u), t_lo=ev.t),
-                                  mid_rid, rrid, birth=ev.t)
-        self._commit(ev, RULE_FRONT_EXITS_FAN, [f_contact, f_shock])
 
     def _resolve_contact_continuation(self, ev):
         edge = next(self.fronts[f] for f in ev.incoming
@@ -486,13 +448,10 @@ class _Tracker:
             ConstLaw(u0), WTildeCurvedV(u0, wlaw.B, wlaw.v2, wlaw.u2),
             "w-tilde")
         f_dc = self._new_front(FrontKind.DELTA_CONTACT,
-                               Line(ev.t, ev.x, u0 - 1.0, t_lo=ev.t),
+                               Line(ev.t, ev.x, u0 - 1.0),
                                lrid, w_tilde_rid,
                                strength=ConstantStrength(gamma), birth=ev.t)
-        self._bind_singular(w_tilde_rid, f_dc)
-        f_edge = self._new_front(FrontKind.FAN_EDGE,
-                                 Line(edge.geom.t0, edge.geom.x0, edge.geom.m,
-                                      t_lo=ev.t),
+        f_edge = self._new_front(FrontKind.FAN_EDGE, edge.geom,
                                  w_tilde_rid, rrid, birth=ev.t)
         self._commit(ev, RULE_CONTACT_CONTINUATION, [f_dc, f_edge])
 
@@ -539,7 +498,7 @@ def fan_solution(left: State, right: State, gamma: float = 0.0,
     fids = []
     if fan.fronts:
         rid_r = tr._new_region(ConstLaw(right.u), ConstLaw(right.v), "right")
-        fids, _ = tr._materialize_fan(fan, rid_l, rid_r)
+        fids = tr._materialize_fan(fan, rid_l, rid_r)
     fronts = tuple(fids)
     tr.epochs.append(Epoch(0.0, INF, fronts, tr._regions_for(fronts, rid_l, rid_r)))
     return tr.solution(t_max)

@@ -249,9 +249,10 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
     u and v, or a strip beside a ConstLaw u) is a flat row: ``ends`` holds
     the per-row endpoints as a (2, rows) array, x and wx are None, u is a
     float and v a float or a per-row array.  Every other piece has x nodes:
-    ``ends`` is None, x and wx are the nodes and weights (``panels(width)``
-    panels of ``order`` points, sized by the widest row) and u and v are the
-    fields at the nodes.
+    ``ends`` is None, x and wx are the nodes and weights
+    (``panels(a, b, t, u_law)`` panels of ``order`` points, from the rows'
+    ends a, b, times t and the region's u-law) and u and v are the fields at
+    the nodes.
     """
     nf = len(fronts)
     for k, rid in enumerate(ep.regions):
@@ -291,8 +292,7 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 locus = np.asarray(reg.v_law.singular_locus(t))
                 off = a - locus
                 off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
-            x, wx, dist = _x_nodes(a, b, panels(float(np.max(b - a))), order,
-                                   off)
+            x, wx, dist = _x_nodes(a, b, panels(a, b, t, reg.u_law), order, off)
             tt = t[:, None]
             u = np.asarray(reg.u_law(x, tt))
             if owner is not None:
@@ -349,7 +349,8 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                              "support; pass eps for the strip regularization")
         for rows, ends, x, wx, u, v in _slabs(
                 sol, ep, fronts, pos, tn, x_lo, x_hi,
-                lambda width: _panels_for(width, phi.sx), _ORDER, eps):
+                lambda a, b, t, u_law: _panels_for(float(np.max(b - a)), phi.sx),
+                _ORDER, eps):
             bt_r, dbt_r = bt[rows], dbt[rows]
             if x is None:
                 r = (ends - phi.xc) / phi.sx
@@ -392,7 +393,7 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
         pos = [f.geom.pos(t0) for f in fronts]
         b0 = float(phi._bump(-phi.tc / phi.st))
         for _, ends, x, w, u, v in _slabs(sol, ep, fronts, pos, t0, x_lo,
-                                          x_hi, lambda width: 6, _ORDER):
+                                          x_hi, lambda *_: 6, _ORDER):
             if x is None:
                 p = phi._bump_integral((ends - phi.xc) / phi.sx)
                 p0 = phi.sx * (p[1] - p[0])
@@ -444,6 +445,14 @@ def auto_window(sol: Solution, t_hi: float, pad: float = 1.0):
     return lo - pad, hi + pad
 
 
+def _mass_panels(a, b, t, u_law):
+    # at least one panel per 2 of u across the piece: in a fan v = e^u
+    # changes on the scale t - tc, however wide the fan is
+    du = float(np.max(np.abs(u_law(b, t) - u_law(a, t))))
+    return max(min(max(math.ceil(float(np.max(b - a)) / 0.2), 4), 40),
+               math.ceil(du / 2.0))
+
+
 def _mass_at(sol: Solution, t: float, X0: float, X1: float) -> float:
     ep = sol.epoch_at(t)
     fronts = [sol.fronts[f] for f in ep.fronts]
@@ -452,10 +461,8 @@ def _mass_at(sol: Solution, t: float, X0: float, X1: float) -> float:
     if any(p[0] <= X0 or p[0] >= X1 for p in pos):
         raise ValueError(f"fronts exit the window [{X0}, {X1}] at t={t}")
     total = 0.0
-    for _, ends, x, w, _, v in _slabs(
-            sol, ep, fronts, pos, tn, X0, X1,
-            lambda width: min(max(math.ceil(width / 0.2), 4), 40),
-            _MASS_ORDER):
+    for _, ends, x, w, _, v in _slabs(sol, ep, fronts, pos, tn, X0, X1,
+                                      _mass_panels, _MASS_ORDER):
         if x is None:
             total += float(np.sum(v * (ends[1] - ends[0])))
         else:

@@ -54,13 +54,13 @@ def test_trajectory_satisfies_its_ode():
 
 
 def test_breakdown_time():
-    assert breakdown_time(SqrtCurve(4.0, -math.sqrt(6.0), t_lo=0.6)) \
+    assert breakdown_time(SqrtCurve(4.0, -math.sqrt(6.0)), 0.6) \
         == pytest.approx(1.5, abs=1e-15)
-    assert breakdown_time(SqrtCurve(0.0, 2.0 * math.sqrt(2.0), t_lo=0.4)) \
+    assert breakdown_time(SqrtCurve(0.0, 2.0 * math.sqrt(2.0)), 0.4) \
         == pytest.approx(2.0, abs=1e-15)
-    assert breakdown_time(SqrtCurve(3.0, 0.0)) is None
-    # breakdown before the curve starts does not count
-    assert breakdown_time(SqrtCurve(4.0, -math.sqrt(6.0), t_lo=2.0)) is None
+    assert breakdown_time(SqrtCurve(3.0, 0.0), 0.0) is None
+    # breakdown before the delta enters the fan does not count
+    assert breakdown_time(SqrtCurve(4.0, -math.sqrt(6.0)), 2.0) is None
 
 
 def test_characteristic_in_fan():

@@ -1,15 +1,23 @@
+import itertools
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from deltashock import interact
 from deltashock.battery import BATTERY
-from deltashock.core import FrontKind, Scenario, SqrtCurve, State
-from deltashock.interact import ScenarioError, run, validate_scenario
-from deltashock.riemann import rh_deficit
+from deltashock.core import (FrontKind, Line, Region, Scenario, SqrtCurve,
+                             State, WStraightV)
+from deltashock.interact import (ScenarioError, TrackingError, run,
+                                 validate_scenario)
+from deltashock.riemann import WaveCase, rh_deficit, v_star
 from deltashock.verify import (
     TestFunction,
+    auto_window,
     delta_contact_slope_error,
+    mass_balance,
     overcompressibility_report,
     weak_residual_rel,
 )
@@ -298,3 +306,76 @@ def test_fan_spanning_2000_tracks_without_overflow():
     assert sol.events[1].t == pytest.approx(500.0, rel=1e-14)
     for fid, lo, hi in overcompressibility_report(sol):
         assert lo > 0.0 and hi > 0.0
+    # v = e^u changes on the scale t of the fan, which is 2000 t wide in u
+    t_hi = min(sol.t_max_computed, 5.0)
+    assert mass_balance(sol, auto_window(sol, t_hi),
+                        np.linspace(1e-3, t_hi, 11)) <= 1e-8
+
+
+# per-rule event counts of the u-grid's solutions; closing the u-gap-2
+# boundary (ROADMAP item 2) will turn failures into solutions and change them
+U_GRID_RULES = {
+    "BreakdownBifurcation": 456, "ContactContinuation": 228,
+    "DeltaCrossesContact": 602, "DeltaEntersFan": 696, "FrontExitsFan": 456,
+    "MergeDeltas": 70, "ShockHitsDelta": 170,
+}
+
+
+def test_u_grid_fails_only_at_u_gap_2():
+    # every valid draw of half-integer u in [-2, 4]^3 at offsets -1 and +1
+    # ends in a solution or in a TrackingError whose delta pair is exactly
+    # at the u-gap 2, where overcompressibility becomes an equality
+    grid = [k / 2.0 for k in range(-4, 9)]
+    rules, valid, failed = Counter(), 0, 0
+    for off in (-1.0, 1.0):
+        for u in itertools.product(grid, repeat=3):
+            scenario = sc(*u, off, v=(1.0, 0.8, 1.2))
+            try:
+                validate_scenario(scenario)
+            except ScenarioError:
+                continue
+            valid += 1
+            try:
+                sol = run(scenario)
+            except TrackingError:
+                failed += 1
+                assert (u[0] - u[1] if off < 0.0 else u[1] - u[2]) == 2.0, u
+                continue
+            rules.update(e.rule for e in sol.events)
+    assert (valid, failed) == (1080, 144)
+    assert rules == U_GRID_RULES
+
+
+def _edit_later_fans(edit):
+    # the scenario's own fans at t = 0 stay as they are
+    real = interact.solve_grp
+
+    def patched(*args):
+        fan = real(*args)
+        return edit(fan) if fan.origin.t > 0.0 else fan
+    return patched
+
+
+def _not_constant(region):
+    raise ValueError(f"region {region.rid} is not constant")
+
+
+@pytest.mark.parametrize("name, target, attr, value, message", [
+    ("case1", interact, "solve_grp", _edit_later_fans(
+        lambda fan: replace(fan, case=WaveCase.SHOCK_CONTACT)),
+     "without the u-gap >= 2"),
+    ("case2", interact, "solve_grp", _edit_later_fans(
+        lambda fan: replace(fan, fronts=(replace(
+            fan.fronts[0], geom=Line(fan.origin.t, fan.origin.x, 9.0)),))),
+     "delta speed changed across a contact"),
+    ("case4iib", WStraightV, "singular_left", False,
+     "unexpected exit orientation"),
+    ("case4iib", interact, "v_star", lambda *a: 1.01 * v_star(*a),
+     "does not match v"),
+    ("case1", Region, "const_state", _not_constant, "is not constant"),
+])
+def test_riemann_resolver_fault_checks(monkeypatch, name, target, attr, value,
+                                       message):
+    monkeypatch.setattr(target, attr, value)
+    with pytest.raises(TrackingError, match=message):
+        run(BATTERY[name])
