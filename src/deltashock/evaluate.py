@@ -2,7 +2,8 @@
 alive at given times with positions, strengths, and splits.
 
 ``fields`` evaluates a whole (t, x) grid with a handful of array operations
-per epoch and per region; ``atom_table`` evaluates every carrying front once
+per epoch, one gather for all constant regions and one masked call per
+other law; ``atom_table`` evaluates every carrying front once
 on all the times at which it is alive.  ``sample`` and ``atoms_at`` are their
 one-time cases, so a row of the grid is bit-identical to the sample at that
 time.
@@ -10,12 +11,13 @@ time.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Solution
+from .core import ConstLaw, Solution
 
 _ON_FRONT_TOL = 1e-12
 
@@ -42,8 +44,8 @@ def _times(ts):
     """The query times as a flat array and as a list of floats."""
     ts = np.asarray(ts, dtype=float).reshape(-1)
     tl = ts.tolist()
-    if min(tl, default=1.0) <= 0.0:
-        raise ValueError("sampling requires t > 0")
+    if not all(0.0 < t < math.inf for t in tl):
+        raise ValueError("sampling requires finite t > 0")
     return ts, tl
 
 
@@ -76,18 +78,22 @@ def fields(sol: Solution, ts, xs):
             prev = pos[np.arange(len(rows))[:, None], idx]
             idx -= np.abs(xs - prev) <= _ON_FRONT_TOL * (1.0 + np.abs(prev))
         rid[rows] = np.array(ep.regions)[idx]
-    # each region's laws once, on all of its points
-    t = np.empty(rid.shape)
-    t[:] = ts[:, None]
-    x = np.empty(rid.shape)
-    x[:] = xs
-    u = np.empty(rid.shape)
-    v = np.empty(rid.shape)
+    # constant laws by one gather from per-region values, every other law
+    # once, on the points of its region
+    u_of, v_of = np.zeros((2, max(sol.regions) + 1))
+    for r, reg in sol.regions.items():
+        for values, law in ((u_of, reg.u_law), (v_of, reg.v_law)):
+            if isinstance(law, ConstLaw):
+                values[r] = law.value
+    u, v = u_of[rid], v_of[rid]
     for r in np.bincount(rid.ravel()).nonzero()[0]:
         reg = sol.regions[r]
-        m = rid == r
-        u[m] = reg.u_law(x[m], t[m])
-        v[m] = reg.v_law(x[m], t[m])
+        laws = [(out, law) for out, law in ((u, reg.u_law), (v, reg.v_law))
+                if not isinstance(law, ConstLaw)]
+        if laws:
+            j, i = (rid == r).nonzero()
+            for out, law in laws:
+                out[j, i] = law(xs[i], ts[j])
     return u, v
 
 

@@ -10,6 +10,11 @@ ShockHitsDelta, DeltaCrossesContact and FrontExitsFan are one generalized
 Riemann problem at the event point, with the incoming atoms' total mass as
 its initial atom (front tracking, Holden & Risebro 2002); DeltaEntersFan,
 BreakdownBifurcation and ContactContinuation have one resolver each.
+
+Every spawned delta shock must be overcompressive, u_R <= c' <= u_L - 1: a
+straight one between constant u-states is decided by its two closed-form
+margins, a fan-interior one by a seven-point scan of its life.  A front's
+trace on a constant side is that side's value, with no position evaluated.
 """
 
 from __future__ import annotations
@@ -41,6 +46,7 @@ from .core import (
     WCurvedV,
     WStraightV,
     WTildeCurvedV,
+    _returns_like,
 )
 from .fronts import (
     breakdown_time,
@@ -158,8 +164,14 @@ class _Tracker:
         lr, rr = self.regions[lrid], self.regions[rrid]
 
         def make(law):
-            def trace(t, _law=law, _geom=geom):
-                return _law(_geom.pos(t), t)
+            if isinstance(law, ConstLaw):
+                # a constant side needs no position on the front
+                def trace(t, _value=law.value):
+                    t = np.asarray(t, dtype=float)
+                    return _returns_like(t, np.full_like(t, _value))
+            else:
+                def trace(t, _law=law, _geom=geom):
+                    return _law(_geom.pos(t), t)
             return trace
 
         return (make(lr.u_law), make(lr.v_law), make(rr.u_law), make(rr.v_law))
@@ -177,22 +189,36 @@ class _Tracker:
         return fid
 
     def _check_overcompressive(self, f: Front):
-        if f.breakdown_t is not None:
-            t_hi = f.breakdown_t
-        elif isinstance(f.strength, TabulatedStrength):
-            t_hi = f.strength.t1
-        else:
-            t_hi = f.birth + 1.0
-        ts = f.birth + (t_hi - f.birth) * np.linspace(1e-6, 1.0 - 1e-6, 7)
-        u_left, _, u_right, _ = f.traces
-        cdot = np.asarray(f.geom.slope(ts))
-        lo = np.asarray(u_right(ts)) - cdot
-        hi = cdot - (np.asarray(u_left(ts)) - 1.0)
+        """Raise unless the delta's slope c' keeps u_R <= c' <= u_L - 1 (to
+        1e-9).  A straight delta between constant u-states is decided by its
+        two margins u_R - c' and c' - (u_L - 1); a fan-interior one is
+        scanned at seven times of its overcompressive life."""
+        u_left, u_right = (self.regions[r].u_law
+                           for r in (f.left_region, f.right_region))
         tol = 1e-9
-        if np.any(lo > tol) or np.any(hi > tol):
+        if (isinstance(f.geom, Line) and isinstance(u_left, ConstLaw)
+                and isinstance(u_right, ConstLaw)):
+            lo = u_right.value - f.geom.m
+            hi = f.geom.m - (u_left.value - 1.0)
+            bad = lo > tol or hi > tol
+        else:
+            if f.breakdown_t is not None:
+                t_hi = f.breakdown_t
+            elif isinstance(f.strength, TabulatedStrength):
+                t_hi = f.strength.t1
+            else:
+                t_hi = f.birth + 1.0
+            ts = f.birth + (t_hi - f.birth) * np.linspace(1e-6, 1.0 - 1e-6, 7)
+            trace_l, _, trace_r, _ = f.traces
+            cdot = np.asarray(f.geom.slope(ts))
+            lo = np.asarray(trace_r(ts)) - cdot
+            hi = cdot - (np.asarray(trace_l(ts)) - 1.0)
+            bad = np.any(lo > tol) or np.any(hi > tol)
+            lo, hi = float(np.max(lo)), float(np.max(hi))
+        if bad:
             raise TrackingError(
                 f"non-overcompressive delta shock spawned (front {f.fid}, "
-                f"max violations {float(np.max(lo)):.3e}, {float(np.max(hi)):.3e})")
+                f"max violations {lo:.3e}, {hi:.3e})")
 
     def _materialize_fan(self, fan, left_rid: int, right_rid: int):
         """Instantiate a WaveFan's fronts/regions between two existing regions."""
@@ -306,12 +332,12 @@ class _Tracker:
         j = order[ev.incoming[-1]]
         return ep, i, j
 
-    def _commit(self, ev, rule, new_fids):
+    def _commit(self, ev, rule, new_fids, gamma_in):
+        """Replace the incoming fronts by ``new_fids``; ``gamma_in`` is the
+        incoming atoms' total strength at the event, as the resolver found it."""
         ep, i, j = self._slice_bounds(ev)
         for fid in ev.incoming:
             self.fronts[fid].death = ev.t
-        gamma_in = sum(self.fronts[f].strength(ev.t) for f in ev.incoming
-                       if self.fronts[f].strength is not None)
         gamma_out = sum(self.fronts[f].strength(ev.t) for f in new_fids
                         if self.fronts[f].strength is not None)
         if abs(gamma_out - gamma_in) > 1e-10 * (1.0 + abs(gamma_in)):
@@ -367,7 +393,7 @@ class _Tracker:
             speed = fan.fronts[0].geom.m
             if abs(speed - deltas[0].geom.m) > 1e-9 * (1.0 + abs(speed)):
                 raise TrackingError("delta speed changed across a contact")
-        self._commit(ev, rule, self._materialize_fan(fan, lrid, rrid))
+        self._commit(ev, rule, self._materialize_fan(fan, lrid, rrid), gamma)
 
     def _resolve_delta_enters_fan(self, ev):
         delta = next(self.fronts[f] for f in ev.incoming
@@ -400,7 +426,7 @@ class _Tracker:
         fid = self._new_front(FrontKind.DELTA_SHOCK, curve, lrid, rrid,
                               strength=law, birth=ev.t,
                               breakdown_t=t_s if schedule_breakdown else None)
-        self._commit(ev, RULE_DELTA_ENTERS_FAN, [fid])
+        self._commit(ev, RULE_DELTA_ENTERS_FAN, [fid], gamma0)
 
     def _resolve_breakdown(self, ev):
         delta = self.fronts[ev.incoming[0]]
@@ -431,7 +457,7 @@ class _Tracker:
         f1 = self._new_front(FrontKind.DELTA_CONTACT, contact, lrid, w_rid,
                              strength=ConstantStrength(gamma_s), birth=t_s)
         f2 = self._new_front(FrontKind.SHOCK, curve, w_rid, rrid, birth=t_s)
-        self._commit(ev, RULE_BREAKDOWN, [f1, f2])
+        self._commit(ev, RULE_BREAKDOWN, [f1, f2], gamma_s)
 
     def _resolve_contact_continuation(self, ev):
         edge = next(self.fronts[f] for f in ev.incoming
@@ -453,7 +479,7 @@ class _Tracker:
                                strength=ConstantStrength(gamma), birth=ev.t)
         f_edge = self._new_front(FrontKind.FAN_EDGE, edge.geom,
                                  w_tilde_rid, rrid, birth=ev.t)
-        self._commit(ev, RULE_CONTACT_CONTINUATION, [f_dc, f_edge])
+        self._commit(ev, RULE_CONTACT_CONTINUATION, [f_dc, f_edge], gamma)
 
     # -- driver ----------------------------------------------------------------
 

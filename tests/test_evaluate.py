@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import State
+from deltashock.core import Scenario, State
 from deltashock.evaluate import atom_table, atoms_at, fields, sample
 from deltashock.interact import fan_solution, run
 
@@ -65,6 +65,14 @@ def test_sample_rejects_nonpositive_time(case1):
         sample(case1, 0.0, [0.0])
     with pytest.raises(ValueError):
         atoms_at(case1, -1.0)
+    # a time that is not finite is no time of the solution either
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            sample(case1, t, [0.0])
+        with pytest.raises(ValueError):
+            fields(case1, [1.0, t], [0.0])
+        with pytest.raises(ValueError):
+            atoms_at(case1, t)
 
 
 def test_w_region_values_increase_toward_contact():
@@ -146,3 +154,47 @@ def test_atom_table_rows_equal_atoms_at(name):
             assert all(type(getattr(a, k)) is float
                        for k in ("x", "alpha", "alpha0", "alpha1"))
     assert any(table)
+
+
+def _fields_per_point(sol, ts, xs):
+    """u and v one point at a time: the epoch by its start, the region by
+    the fronts' positions at t (a point within 1e-12 of the nearest front
+    at or left of it belongs to that front's left region), then the
+    region's own laws on the point."""
+    u = np.empty((len(ts), len(xs)))
+    v = np.empty((len(ts), len(xs)))
+    for j, t in enumerate(ts.tolist()):
+        ep = [ep for ep in sol.epochs if ep.t0 <= t][-1]
+        pos = [sol.fronts[f].geom.pos(t) for f in ep.fronts]
+        for i, x in enumerate(xs.tolist()):
+            k = sum(p <= x for p in pos)
+            if k and abs(x - pos[k - 1]) <= 1e-12 * (1.0 + abs(pos[k - 1])):
+                k -= 1
+            reg = sol.regions[ep.regions[k]]
+            u[j, i] = reg.u_law(x, t)
+            v[j, i] = reg.v_law(x, t)
+    return u, v
+
+
+_SIGNED_ZEROS = Scenario(State(6.0, 1.0), State(3.0, -0.0), State(-0.0, 1.0),
+                         offset=-1.0)
+
+
+@pytest.mark.parametrize("scenario", [
+    *(pytest.param(sc, id=name) for name, sc in BATTERY.items()),
+    pytest.param(_SIGNED_ZEROS, id="signed-zeros"),
+])
+def test_fields_match_per_point_reference(scenario):
+    sol = run(scenario)
+    ts = _times_across_epochs(sol)
+    fronts_at = [sol.fronts[f].geom.pos(float(t))
+                 for t in ts[::5] for f in sol.epoch_at(float(t)).fronts]
+    xs = np.unique(np.concatenate([np.linspace(-5.0, 30.0, 71), fronts_at]))
+    u, v = fields(sol, ts, xs)
+    ref_u, ref_v = _fields_per_point(sol, ts, xs)
+    # bitwise, so a signed zero or an infinity must come back as it is
+    assert u.tobytes() == ref_u.tobytes()
+    assert v.tobytes() == ref_v.tobytes()
+    if scenario is _SIGNED_ZEROS:
+        for vals in (u, v):
+            assert np.any((vals == 0.0) & np.signbit(vals))

@@ -10,6 +10,7 @@ from deltashock import interact
 from deltashock.battery import BATTERY
 from deltashock.core import (FrontKind, Line, Region, Scenario, SqrtCurve,
                              State, WStraightV)
+from deltashock.fronts import breakdown_time
 from deltashock.interact import (ScenarioError, TrackingError, run,
                                  validate_scenario)
 from deltashock.riemann import WaveCase, rh_deficit, v_star
@@ -356,6 +357,18 @@ def _edit_later_fans(edit):
     return patched
 
 
+def _delta_past_left_limit(fan):
+    # the fan's straight delta, half a unit steeper than u_L - 1 allows
+    (delta,) = fan.fronts
+    u_left = fan.regions[0][0].value
+    return replace(fan, fronts=(replace(delta, geom=Line(
+        fan.origin.t, fan.origin.x, u_left - 1.0 + 0.5)),))
+
+
+def _breakdown_later(curve, after):
+    return 2.0 * breakdown_time(curve, after)
+
+
 def _not_constant(region):
     raise ValueError(f"region {region.rid} is not constant")
 
@@ -373,6 +386,12 @@ def _not_constant(region):
     ("case4iib", interact, "v_star", lambda *a: 1.01 * v_star(*a),
      "does not match v"),
     ("case1", Region, "const_state", _not_constant, "is not constant"),
+    # the spawn check: closed-form margins for a straight delta between
+    # constant states, the seven-point scan for a fan-interior one
+    ("case1", interact, "solve_grp", _edit_later_fans(_delta_past_left_limit),
+     "non-overcompressive delta shock spawned"),
+    ("case4iia", interact, "breakdown_time", _breakdown_later,
+     "non-overcompressive delta shock spawned"),
 ])
 def test_riemann_resolver_fault_checks(monkeypatch, name, target, attr, value,
                                        message):
