@@ -36,9 +36,11 @@ _KIND_STYLE = {
 
 
 def _fmt(x: float) -> str:
-    if math.isinf(x):
-        return "inf" if x > 0 else "-inf"
     return format(x, ".12g")
+
+
+def _finite(*nums) -> bool:
+    return all(map(math.isfinite, nums))
 
 
 # option: (count of numbers, requirement, test of the numbers)
@@ -48,14 +50,17 @@ _OPTIONS = {
     "window": (2, "two finite numbers X0,X1 with X0 < X1",
                lambda a, b: -math.inf < a < b < math.inf),
     "t_max": (1, "a finite number > 0", lambda t: 0.0 < t < math.inf),
+    "left": (2, "two finite numbers U,V", _finite),
+    "right": (2, "two finite numbers U,V", _finite),
+    "atom": (1, "a finite number", _finite),
 }
 
 
 def _option(name: str, value):
     """Validate the grid, window or t_max of a scenario file (a JSON number
-    or list) or of the command line (text "A,B"); ``name`` is the key or
-    the flag.  Returns (nx, nt), (x0, x1) or t_max; raises ScenarioError
-    naming the option."""
+    or list) or of the command line (text "A,B"), or a state or atom of the
+    riemann subcommand; ``name`` is the key or the flag.  Returns (nx, nt),
+    a pair of floats or one float; raises ScenarioError naming the option."""
     key = name.lstrip("-").replace("-", "_")
     count, need, test = _OPTIONS[key]
     items = (value.split(",") if isinstance(value, str)
@@ -279,13 +284,9 @@ def render_svg(sol: Solution, window, t_max: float,
 
 def _describe_fan(fan) -> str:
     lines = [f"wave structure: {fan.case.value}"]
-    names = {FrontKind.SHOCK: "shock", FrontKind.CONTACT: "contact",
-             FrontKind.DELTA_SHOCK: "delta shock",
-             FrontKind.DELTA_CONTACT: "delta contact",
-             FrontKind.FAN_EDGE: "fan edge"}
     for piece in fan.fronts:
         g = piece.geom
-        desc = f"  {names[piece.kind]:13s} speed {_fmt(g.m)}"
+        desc = f"  {_KIND_STYLE[piece.kind][1]:13s} speed {_fmt(g.m)}"
         if piece.strength is not None:
             a0 = piece.strength(g.t0)
             r = piece.strength.rate(g.t0)
@@ -294,14 +295,6 @@ def _describe_fan(fan) -> str:
     if not fan.fronts:
         lines.append("  constant state, no waves")
     return "\n".join(lines)
-
-
-def _parse_state(text: str) -> State:
-    try:
-        u, v = (float(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ScenarioError(f"state must be 'u,v', got {text!r}") from exc
-    return State(u, v)
 
 
 def _cmd_solve(args) -> int:
@@ -324,9 +317,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_riemann(args) -> int:
-    left = _parse_state(args.left)
-    right = _parse_state(args.right)
-    fan = solve_grp(left, right, args.atom)
+    left = State(*_option("--left", args.left))
+    right = State(*_option("--right", args.right))
+    fan = solve_grp(left, right, _option("--atom", args.atom))
     print(_describe_fan(fan))
     return 0
 

@@ -517,10 +517,6 @@ class Region:
     v_law: FieldLaw
     label: str = ""
 
-    @property
-    def singular_left(self) -> bool:
-        return self.v_law.singular_left
-
     def const_state(self) -> State:
         if isinstance(self.u_law, ConstLaw) and isinstance(self.v_law, ConstLaw):
             return State(self.u_law.value, self.v_law.value)
@@ -530,7 +526,7 @@ class Region:
 def split_weight(uL, uR, slope):
     """Left-sided weight w0 of an atom with traces uL, uR on a front of the
     given slope (arrays): the root of the delta'-coefficient condition, or
-    0.5 where |uL - uR| < 1e-12 (see ``Front.split_fraction``)."""
+    0.5 where |uL - uR| < 1e-12 (see ``Front.atom``)."""
     du = uL - uR
     even = np.abs(du) < 1e-12
     return np.where(even, 0.5, (slope - uR + 1.0) / np.where(even, 1.0, du))
@@ -540,8 +536,8 @@ def split_weight(uL, uR, slope):
 class Front:
     """A discontinuity curve with its kind, geometry, neighbours and atom law.
 
-    ``traces`` are (u_left, v_left, u_right, v_right) callables evaluated on
-    the curve itself; they feed strength rates and split weights.
+    ``u_laws`` are the u-laws of the left and right regions: u on each side
+    is all a front reads of its neighbours (split weights, spawn checks).
     """
 
     fid: int
@@ -550,7 +546,7 @@ class Front:
     left_region: int
     right_region: int
     strength: Optional[StrengthLaw] = None
-    traces: Optional[tuple] = None
+    u_laws: Optional[tuple] = None
     birth: float = 0.0
     death: float = INF
     breakdown_t: Optional[float] = None
@@ -564,25 +560,26 @@ class Front:
     def alive_at(self, t) -> bool:
         return self.birth <= t < self.death
 
-    def split_fraction(self, t):
-        """Left-sided weight w0(t): alpha0 = w0 alpha, alpha1 = (1-w0) alpha.
-
-        Solves the delta'-coefficient condition
-        (uL - 1 - c') a0 + (uR - 1 - c') a1 = 0; a contact-riding atom
-        (uL = uR) splits evenly, the convention for the non-unique case.
-        """
-        u_left, _, u_right, _ = self.traces
+    def u_traces(self, t):
+        """(u_L, u_R) on the curve at times t, as arrays; a constant side is
+        its value, with no position evaluated."""
         t = np.asarray(t, dtype=float)
-        return _returns_like(t, split_weight(
-            np.asarray(u_left(t), dtype=float),
-            np.asarray(u_right(t), dtype=float),
-            np.asarray(self.geom.slope(t))))
+        return tuple(np.full_like(t, law.value) if isinstance(law, ConstLaw)
+                     else np.asarray(law(self.geom.pos(t), t), dtype=float)
+                     for law in self.u_laws)
 
     def atom(self, t):
         """(alpha, alpha0, alpha1): the strength at t and its left- and
-        right-sided components."""
+        right-sided components, alpha0 = w0 alpha and alpha1 = (1-w0) alpha.
+
+        The weight w0 solves the delta'-coefficient condition
+        (uL - 1 - c') a0 + (uR - 1 - c') a1 = 0; a contact-riding atom
+        (uL = uR) splits evenly, the convention for the non-unique case.
+        """
         a = self.strength(t)
-        w0 = self.split_fraction(t)
+        t = np.asarray(t, dtype=float)
+        w0 = _returns_like(t, split_weight(*self.u_traces(t),
+                                           np.asarray(self.geom.slope(t))))
         return a, a * w0, a * (1.0 - np.asarray(w0))
 
 

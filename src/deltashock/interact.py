@@ -11,18 +11,17 @@ Riemann problem at the event point, with the incoming atoms' total mass as
 its initial atom (front tracking, Holden & Risebro 2002); DeltaEntersFan,
 BreakdownBifurcation and ContactContinuation have one resolver each.
 
-Every spawned delta shock must be overcompressive, u_R <= c' <= u_L - 1: a
-straight one between constant u-states is decided by its two closed-form
-margins, a fan-interior one by a seven-point scan of its life.  A front's
-trace on a constant side is that side's value, with no position evaluated.
+Every spawned delta shock must be overcompressive, u_R <= c' <= u_L - 1.
+Its two margins are closed forms that never shrink along its life, so one
+evaluation decides it: at birth for a straight delta between constant
+u-states, at the end of the fan passage for a fan-interior one.  A front
+reads u on each side through ``Front.u_traces``.
 """
 
 from __future__ import annotations
 
 import math
 from typing import Optional
-
-import numpy as np
 
 from .core import (
     ConstLaw,
@@ -46,7 +45,6 @@ from .core import (
     WCurvedV,
     WStraightV,
     WTildeCurvedV,
-    _returns_like,
 )
 from .fronts import (
     breakdown_time,
@@ -160,29 +158,13 @@ class _Tracker:
         self.regions[rid] = Region(rid, u_law, v_law, label)
         return rid
 
-    def _traces(self, geom, lrid: int, rrid: int):
-        lr, rr = self.regions[lrid], self.regions[rrid]
-
-        def make(law):
-            if isinstance(law, ConstLaw):
-                # a constant side needs no position on the front
-                def trace(t, _value=law.value):
-                    t = np.asarray(t, dtype=float)
-                    return _returns_like(t, np.full_like(t, _value))
-            else:
-                def trace(t, _law=law, _geom=geom):
-                    return _law(_geom.pos(t), t)
-            return trace
-
-        return (make(lr.u_law), make(lr.v_law), make(rr.u_law), make(rr.v_law))
-
     def _new_front(self, kind, geom, lrid, rrid, strength=None, birth=0.0,
                    breakdown_t=None) -> int:
         fid = self._next_fid
         self._next_fid += 1
         f = Front(fid, kind, geom, lrid, rrid, strength,
-                  self._traces(geom, lrid, rrid), birth=birth,
-                  breakdown_t=breakdown_t)
+                  (self.regions[lrid].u_law, self.regions[rrid].u_law),
+                  birth=birth, breakdown_t=breakdown_t)
         if kind is FrontKind.DELTA_SHOCK:
             self._check_overcompressive(f)
         self.fronts[fid] = f
@@ -190,32 +172,15 @@ class _Tracker:
 
     def _check_overcompressive(self, f: Front):
         """Raise unless the delta's slope c' keeps u_R <= c' <= u_L - 1 (to
-        1e-9).  A straight delta between constant u-states is decided by its
-        two margins u_R - c' and c' - (u_L - 1); a fan-interior one is
-        scanned at seven times of its overcompressive life."""
-        u_left, u_right = (self.regions[r].u_law
-                           for r in (f.left_region, f.right_region))
-        tol = 1e-9
-        if (isinstance(f.geom, Line) and isinstance(u_left, ConstLaw)
-                and isinstance(u_right, ConstLaw)):
-            lo = u_right.value - f.geom.m
-            hi = f.geom.m - (u_left.value - 1.0)
-            bad = lo > tol or hi > tol
-        else:
-            if f.breakdown_t is not None:
-                t_hi = f.breakdown_t
-            elif isinstance(f.strength, TabulatedStrength):
-                t_hi = f.strength.t1
-            else:
-                t_hi = f.birth + 1.0
-            ts = f.birth + (t_hi - f.birth) * np.linspace(1e-6, 1.0 - 1e-6, 7)
-            trace_l, _, trace_r, _ = f.traces
-            cdot = np.asarray(f.geom.slope(ts))
-            lo = np.asarray(trace_r(ts)) - cdot
-            hi = cdot - (np.asarray(trace_l(ts)) - 1.0)
-            bad = np.any(lo > tol) or np.any(hi > tol)
-            lo, hi = float(np.max(lo)), float(np.max(hi))
-        if bad:
+        1e-9).  Both margins u_R - c' and c' - (u_L - 1) are constant on a
+        straight delta between constant u-states and grow along a
+        fan-interior one (-|K|/(2 sqrt(y)) and 1 - |K|/(2 sqrt(y))), so they
+        are evaluated once: at birth, or at the end of the fan passage."""
+        t = f.strength.t1 if isinstance(f.geom, SqrtCurve) else f.birth
+        u_left, u_right = f.u_traces(t)
+        cdot = f.geom.slope(t)
+        lo, hi = float(u_right - cdot), float(cdot - (u_left - 1.0))
+        if lo > 1e-9 or hi > 1e-9:
             raise TrackingError(
                 f"non-overcompressive delta shock spawned (front {f.fid}, "
                 f"max violations {lo:.3e}, {hi:.3e})")
@@ -401,8 +366,8 @@ class _Tracker:
         lrid, rrid = self._outer_regions(ev)
         left, right = self.regions[lrid], self.regions[rrid]
         fan_on_right = isinstance(right.u_law, FanU)
-        fan_reg, const_reg = (right, left) if fan_on_right else (left, right)
-        const = const_reg.const_state()
+        fan_reg = right if fan_on_right else left
+        const = self._const_state(lrid if fan_on_right else rrid)
         center = Point(fan_reg.u_law.tc, fan_reg.u_law.xc)
         curve = fan_delta_trajectory(Point(ev.t, ev.x), const.u, center)
         gamma0 = delta.strength(ev.t)
@@ -438,7 +403,7 @@ class _Tracker:
         t_s, x_s = ev.t, ev.x
         if isinstance(right.u_law, FanU):
             # constant state on the left: straight delta contact, slope u0 - 1
-            u0 = left.const_state().u
+            u0 = self._const_state(lrid).u
             fan_v: FanExpV = right.v_law
             w_rid = self._new_region(
                 ConstLaw(u0),
@@ -448,7 +413,7 @@ class _Tracker:
             contact = Line(t_s, x_s, u0 - 1.0)
         else:
             # constant state on the right: the contact rides a fan characteristic
-            st_r = right.const_state()
+            st_r = self._const_state(rrid)
             center = Point(left.u_law.tc, left.u_law.xc)
             contact = characteristic_in_fan(Point(t_s, x_s), center)
             w_rid = self._new_region(FanU(center.t, center.x),
@@ -467,7 +432,7 @@ class _Tracker:
         lrid, rrid = self._outer_regions(ev)
         left = self.regions[lrid]          # constant (u0, v_*) beyond the edge
         w_curved = self.regions[rrid]      # singular fan-interior region
-        u0 = left.const_state().u
+        u0 = self._const_state(lrid).u
         wlaw = w_curved.v_law
         gamma = dc.strength(ev.t)
         w_tilde_rid = self._new_region(

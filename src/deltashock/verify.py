@@ -284,7 +284,7 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 yield rows, np.stack((a, b)), None, None, reg.u_law.value, v
                 continue
             off = None
-            if owner is None and reg.singular_left:
+            if owner is None and reg.v_law.singular_left:
                 # distance to the blow-up locus; noise-level offsets snap to
                 # zero, since sqrt() in the graded parametrization would turn
                 # 1e-15 of position round-off into a missing boundary sliver
@@ -297,7 +297,7 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
             u = np.asarray(reg.u_law(x, tt))
             if owner is not None:
                 v = np.asarray(owner.strength(t))[:, None] / (2.0 * eps)
-            elif dist is not None and hasattr(reg.v_law, "from_distance"):
+            elif dist is not None:
                 v = np.asarray(reg.v_law.from_distance(dist, tt))
             else:
                 v = np.asarray(reg.v_law(x, tt))
@@ -375,9 +375,7 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             for f, c in zip(fronts, pos):
                 if not f.kind.carries_atom:
                     continue
-                u_left, _, u_right, _ = f.traces
-                uL = np.asarray(u_left(tn), dtype=float)
-                uR = np.asarray(u_right(tn), dtype=float)
+                uL, uR = f.u_traces(tn)
                 alpha = f.strength(tn)
                 w0 = split_weight(uL, uR, np.asarray(f.geom.slope(tn)))
                 m = (alpha * w0 * (uL - 1.0)
@@ -511,9 +509,9 @@ def overcompressibility_report(sol: Solution, samples: int = 200,
         t1 = min(f.death, max(cap, f.birth * 2.0 + 1.0))
         ts = f.birth + (t1 - f.birth) * np.linspace(1e-9, 1.0, samples)
         cdot = np.asarray(f.geom.slope(ts))
-        u_left, _, u_right, _ = f.traces
-        lo = cdot - np.asarray(u_right(ts))
-        hi = np.asarray(u_left(ts)) - 1.0 - cdot
+        u_left, u_right = f.u_traces(ts)
+        lo = cdot - u_right
+        hi = u_left - 1.0 - cdot
         out.append((f.fid, float(np.min(lo)), float(np.min(hi))))
     return out
 
@@ -526,8 +524,8 @@ def delta_contact_slope_error(sol: Solution, samples: int = 100) -> float:
             continue
         t1 = min(f.death, max(sol.t_max_computed, f.birth * 2.0 + 1.0))
         ts = f.birth + (t1 - f.birth) * np.linspace(1e-6, 1.0 - 1e-9, samples)
-        u_left, _, u_right, _ = f.traces
-        lam = 0.5 * (np.asarray(u_left(ts)) + np.asarray(u_right(ts))) - 1.0
+        u_left, u_right = f.u_traces(ts)
+        lam = 0.5 * (u_left + u_right) - 1.0
         worst = max(worst, float(np.max(np.abs(np.asarray(f.geom.slope(ts)) - lam))))
     return worst
 

@@ -81,9 +81,9 @@ def test_criterion_3_overcompressibility_monitor(solutions):
             t1 = min(f.death, max(sol.t_max_computed, f.birth + 1.0))
             ts = f.birth + (t1 - f.birth) * np.linspace(1e-9, 1.0, 200)
             cdot = np.asarray(f.geom.slope(ts))
-            u_left, _, u_right, _ = f.traces
-            lo = cdot - np.asarray(u_right(ts))
-            hi = np.asarray(u_left(ts)) - 1.0 - cdot
+            u_left, u_right = f.u_traces(ts)
+            lo = cdot - u_right
+            hi = u_left - 1.0 - cdot
             assert np.min(lo) >= -1e-12 and np.min(hi) >= -1e-12
             ends_in_breakdown = any(abs(f.death - bt) <= 1e-12 * (1 + bt)
                                     for bt in bd_times)

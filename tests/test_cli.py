@@ -132,6 +132,19 @@ def test_riemann_subcommand(capsys):
     assert "delta contact" in out and "shock" in out
     assert "strength 5" in out
     assert main(["riemann", "--left", "bogus", "--right", "2,1"]) == 2
+    capsys.readouterr()
+    # non-finite states and atoms exit 2 with one line naming the argument
+    for flag, argv in [
+            ("--left", ["--left", "inf,1", "--right", "0,1"]),
+            ("--left", ["--left", "1,nan", "--right", "0,1"]),
+            ("--right", ["--left", "4,1", "--right", "0,-inf"]),
+            ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "nan"]),
+            ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "inf"])]:
+        assert main(["riemann"] + argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {flag} must be ")
+        assert captured.err.count("\n") == 1
 
 
 def test_verify_subcommand(case1_file, capsys):

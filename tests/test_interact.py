@@ -146,7 +146,9 @@ def test_case2_event_values():
     assert (cross.t, cross.x) == (pytest.approx(1 / 3), pytest.approx(1 / 3))
     # v* = 3 on the new right side; rate restarts at the deficit with it
     mid = sol.fronts[cross.outgoing[0]]
-    assert float(mid.traces[3](cross.t + 0.01)) == pytest.approx(3.0)
+    t = cross.t + 0.01
+    v_right = sol.regions[mid.right_region].v_law(mid.geom.pos(t), t)
+    assert float(v_right) == pytest.approx(3.0)
     assert mid.strength.s == pytest.approx(
         rh_deficit(State(6, 1), State(2, 3), 4.0))
     assert (merge.t, merge.x) == (pytest.approx(0.4), pytest.approx(0.6))
@@ -386,8 +388,11 @@ def _not_constant(region):
     ("case4iib", interact, "v_star", lambda *a: 1.01 * v_star(*a),
      "does not match v"),
     ("case1", Region, "const_state", _not_constant, "is not constant"),
-    # the spawn check: closed-form margins for a straight delta between
-    # constant states, the seven-point scan for a fan-interior one
+    ("case5_bif_left", Region, "const_state", _not_constant,
+     "is not constant"),
+    # the spawn check evaluates the margins once: at birth for a straight
+    # delta between constant states, at the end of the fan passage for a
+    # fan-interior one
     ("case1", interact, "solve_grp", _edit_later_fans(_delta_past_left_limit),
      "non-overcompressive delta shock spawned"),
     ("case4iia", interact, "breakdown_time", _breakdown_later,
@@ -398,3 +403,36 @@ def test_riemann_resolver_fault_checks(monkeypatch, name, target, attr, value,
     monkeypatch.setattr(target, attr, value)
     with pytest.raises(TrackingError, match=message):
         run(BATTERY[name])
+
+
+def _u_grid_solutions():
+    # the solutions of test_u_grid_fails_only_at_u_gap_2's grid
+    grid = [k / 2.0 for k in range(-4, 9)]
+    for off in (-1.0, 1.0):
+        for u in itertools.product(grid, repeat=3):
+            try:
+                yield run(sc(*u, off, v=(1.0, 0.8, 1.2)))
+            except (ScenarioError, TrackingError):
+                continue
+
+
+def test_fan_interior_spawn_margins_never_shrink():
+    # the spawn check decides a fan-interior delta at the end of its fan
+    # passage alone, which holds only if its margins u_R - c' and
+    # c' - (u_L - 1) are nondecreasing over (birth, t1]
+    sols = itertools.chain((run(s) for s in BATTERY.values()),
+                           _u_grid_solutions())
+    checked = 0
+    for sol in sols:
+        for f in sol.fronts.values():
+            if f.kind is not FrontKind.DELTA_SHOCK or not isinstance(
+                    f.geom, SqrtCurve):
+                continue
+            checked += 1
+            ts = np.linspace(f.birth, f.strength.t1, 1001)[1:]
+            u_left, u_right = f.u_traces(ts)
+            cdot = np.asarray(f.geom.slope(ts))
+            for margin in (u_right - cdot, cdot - (u_left - 1.0)):
+                rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(margin))
+                assert np.all(np.diff(margin) >= -rounding[1:])
+    assert checked == 703

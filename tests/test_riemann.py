@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from deltashock.core import ConstantStrength, Front, FrontKind, Line, State
+from deltashock.core import ConstantStrength, ConstLaw, Front, FrontKind, Line, State
 from deltashock.interact import fan_solution
 from deltashock.riemann import (
     WaveCase,
@@ -67,10 +67,8 @@ def test_v_star_kills_the_deficit():
 def split(alpha, speed, u_l, u_r):
     """(alpha0, alpha1) of an atom of strength alpha on a front of the given
     speed between constant u_l and u_r, through Front.atom."""
-    const = lambda c: (lambda t: c)
     f = Front(0, FrontKind.DELTA_SHOCK, Line(0.0, 0.0, speed), 0, 1,
-              ConstantStrength(alpha),
-              (const(u_l), const(1.0), const(u_r), const(1.0)))
+              ConstantStrength(alpha), (ConstLaw(u_l), ConstLaw(u_r)))
     a, a0, a1 = f.atom(1.0)
     assert a == alpha
     return float(a0), float(a1)
