@@ -386,8 +386,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("riemann", help="solve a two-state (generalized) "
                                        "Riemann problem and print the fan")
-    p.add_argument("--left", required=True, help="u,v")
-    p.add_argument("--right", required=True, help="u,v")
+    p.add_argument("--left", required=True,
+                   help="u,v; a negative u needs the = form, --left=-1,2")
+    p.add_argument("--right", required=True,
+                   help="u,v; a negative u needs the = form, --right=-1,2")
     p.add_argument("--atom", type=float, default=0.0,
                    help="initial point-atom mass at the origin")
     p.set_defaults(func=_cmd_riemann)

@@ -18,6 +18,8 @@ import math
 import sys
 from typing import Optional
 
+import numpy as np
+
 from .core import (INF, _EPS, CurveGeometry, Line, LogCurve, Point, SqrtCurve,
                    _halley)
 
@@ -105,7 +107,7 @@ def _line_sqrt(a: Line, b: SqrtCurve) -> list[float]:
     else:
         disc = cb * cb - 4.0 * ca * cc
         scale = cb * cb + abs(4.0 * ca * cc)
-        if abs(disc) <= 1e-14 * max(scale, 1e-300):
+        if abs(disc) <= _TANGENT_ULPS * _EPS * scale:
             return []  # grazing contact: tangency, no transversal event
         if disc < 0.0:
             return []
@@ -155,7 +157,8 @@ def _log_roots(a: float, b: float, terms: float) -> list[float]:
 
 def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Point]:
     """Earliest transversal intersection of two front geometries with
-    t > after, or None.  Grazing (tangential) contacts count as no event.
+    t > after, or None.  Grazing (tangential) contacts count as no event,
+    and so does a crossing whose position overflows.
 
     Supported pairs, all in closed form: a Line with any geometry (see
     ``line_crossings``), and a SqrtCurve with a LogCurve of the same fan
@@ -181,4 +184,6 @@ def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Poin
     if not ts:
         return None
     t = ts[0]
-    return Point(t, 0.5 * (a.pos(t) + b.pos(t)))
+    with np.errstate(over="ignore"):
+        x = 0.5 * (a.pos(t) + b.pos(t))
+    return Point(t, x) if math.isfinite(x) else None

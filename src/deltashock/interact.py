@@ -1,26 +1,30 @@
 """Event-driven front tracking for three-state interaction scenarios.
 
 A scenario is two Riemann fans (one of which is a delta shock) released from
-x = offset and x = 0.  The tracker repeatedly finds the earliest interaction
-among adjacent fronts (plus scheduled overcompressibility breakdowns) and
-records it under one of seven rule names; the five classical interaction
-cases and their sub-cases all emerge from those rules rather than being
-scripted.  Four resolvers build the outgoing fronts: MergeDeltas,
-ShockHitsDelta, DeltaCrossesContact and FrontExitsFan are one generalized
-Riemann problem at the event point, with the incoming atoms' total mass as
-its initial atom (front tracking, Holden & Risebro 2002); DeltaEntersFan,
+x = offset and x = 0.  The tracker repeatedly takes the earliest candidate
+event: a crossing of two adjacent fronts after the current epoch's start, or
+a scheduled overcompressibility breakdown.  Two fronts born at one point
+are never a candidate, since they meet only there: lines meet once, and the
+breakdown pair is tangent at its birth.  Each event is recorded under one
+of seven rule names; the five classical interaction cases and their
+sub-cases all emerge from those rules rather than being scripted.  Four
+resolvers build the outgoing fronts: MergeDeltas, ShockHitsDelta,
+DeltaCrossesContact and FrontExitsFan are one generalized Riemann problem
+at the event point, with the incoming atoms' total mass as its initial atom
+(front tracking, Holden & Risebro 2002); DeltaEntersFan,
 BreakdownBifurcation and ContactContinuation have one resolver each.
 
-Every spawned delta shock must be overcompressive, u_R <= c' <= u_L - 1.
-Its two margins are closed forms that never shrink along its life, so one
-evaluation decides it: at birth for a straight delta between constant
-u-states, at the end of the fan passage for a fan-interior one.  A front
-reads u on each side through ``Front.u_traces``.
+Every spawned delta shock must be overcompressive, u_R <= c' <= u_L - 1,
+which holds while its u-gap u_L - u_R is at least 2; the fan edges' u decide
+how a fan passage ends.  The two margins are closed forms that never shrink
+along a delta's life, so one evaluation decides it: at birth for a straight
+delta between constant u-states, at the end of the fan passage for a
+fan-interior one.  A front reads u on each side through ``Front.u_traces``.
 """
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from typing import Optional
 
 from .core import (
@@ -129,14 +133,7 @@ def validate_scenario(sc: Scenario) -> tuple[int, str]:
     return 5, "5(bifurcation,u2<u0<u2+2)"
 
 
-class _PendingEvent:
-    __slots__ = ("t", "x", "incoming", "is_breakdown")
-
-    def __init__(self, t, x, incoming, is_breakdown):
-        self.t = t
-        self.x = x
-        self.incoming = incoming
-        self.is_breakdown = is_breakdown
+_PendingEvent = namedtuple("_PendingEvent", "t x incoming")
 
 
 class _Tracker:
@@ -145,6 +142,7 @@ class _Tracker:
         self.case_id, self.case_label = case_id, case_label
         self.regions: dict[int, Region] = {}
         self.fronts: dict[int, Front] = {}
+        self.origins: dict[int, Point] = {}
         self.events: list[Event] = []
         self.epochs: list[Epoch] = []
         self._next_rid = 0
@@ -158,16 +156,17 @@ class _Tracker:
         self.regions[rid] = Region(rid, u_law, v_law, label)
         return rid
 
-    def _new_front(self, kind, geom, lrid, rrid, strength=None, birth=0.0,
+    def _new_front(self, kind, geom, lrid, rrid, origin: Point, strength=None,
                    breakdown_t=None) -> int:
         fid = self._next_fid
         self._next_fid += 1
         f = Front(fid, kind, geom, lrid, rrid, strength,
                   (self.regions[lrid].u_law, self.regions[rrid].u_law),
-                  birth=birth, breakdown_t=breakdown_t)
+                  birth=origin.t, breakdown_t=breakdown_t)
         if kind is FrontKind.DELTA_SHOCK:
             self._check_overcompressive(f)
         self.fronts[fid] = f
+        self.origins[fid] = origin
         return fid
 
     def _check_overcompressive(self, f: Front):
@@ -191,7 +190,7 @@ class _Tracker:
                  for (u_law, v_law) in fan.regions[1:-1]]
         rids = [left_rid] + inner + [right_rid]
         return [self._new_front(piece.kind, piece.geom, rids[k], rids[k + 1],
-                                strength=piece.strength, birth=fan.origin.t)
+                                fan.origin, strength=piece.strength)
                 for k, piece in enumerate(fan.fronts)]
 
     def build_initial(self):
@@ -221,52 +220,27 @@ class _Tracker:
     # -- event loop ----------------------------------------------------------
 
     def next_event(self) -> Optional[_PendingEvent]:
+        """The earliest candidate: a crossing of two adjacent fronts after
+        the epoch's start, or a scheduled breakdown.  Two fronts born at one
+        point meet there only: lines meet once, and the breakdown pair is
+        tangent at its birth (a double root), so such a pair is skipped."""
         ep = self.epochs[-1]
-        t_now = ep.t0
-        after = t_now * (1.0 + 1e-9) + 1e-12
         fronts = [self.fronts[f] for f in ep.fronts]
-        cands = []
+        cands = [(f.breakdown_t, f.geom.pos(f.breakdown_t), (f.fid,))
+                 for f in fronts if f.breakdown_t is not None]
         for a, b in zip(fronts, fronts[1:]):
-            p = intersect(a.geom, b.geom, after)
-            if p is not None:
-                cands.append((p.t, p.x, (a.fid, b.fid), False))
-        for f in fronts:
-            if f.breakdown_t is None:
+            if self.origins[a.fid] == self.origins[b.fid]:
                 continue
-            if f.breakdown_t > after:
-                cands.append((f.breakdown_t, f.geom.pos(f.breakdown_t),
-                              (f.fid,), True))
-            elif f.breakdown_t > t_now:
-                # dropped, the delta would go on past its breakdown as a
-                # non-overcompressive front
-                raise TrackingError(
-                    f"breakdown of front {f.fid} at t={f.breakdown_t} "
-                    f"coincides with the event at t={t_now}")
-        if not cands:
-            return None
-        t_min = min(c[0] for c in cands)
-        tol_t = 1e-9 * (1.0 + t_min)
-        group = [c for c in cands if c[0] <= t_min + tol_t]
-        group.sort(key=lambda c: c[1])
-        x_ref = group[0][1]
-        tol_x = 1e-9 * (1.0 + abs(x_ref))
-        cluster = [c for c in group if abs(c[1] - x_ref) <= tol_x]
-        # exit and breakdown coinciding: the exit (transversal crossing) wins
-        crossings = [c for c in cluster if not c[3]]
-        if crossings:
-            cluster = crossings
-        fids = {fid for c in cluster for fid in c[2]}
-        order = {fid: i for i, fid in enumerate(ep.fronts)}
-        incoming = tuple(sorted(fids, key=order.__getitem__))
-        idxs = [order[f] for f in incoming]
-        if idxs != list(range(idxs[0], idxs[0] + len(idxs))):
-            raise TrackingError(f"non-adjacent fronts in event at t={t_min}")
-        return _PendingEvent(t_min, x_ref, incoming, cluster[0][3])
+            p = intersect(a.geom, b.geom, ep.t0)
+            if p is not None:
+                cands.append((p.t, p.x, (a.fid, b.fid)))
+        return _PendingEvent(*min(cands)) if cands else None
 
     def resolve(self, ev: _PendingEvent):
+        if len(ev.incoming) == 1:
+            delta = self.fronts[ev.incoming[0]]
+            return self._resolve_breakdown(ev, delta.geom, delta.strength(ev.t))
         kinds = [self.fronts[f].kind for f in ev.incoming]
-        if ev.is_breakdown and len(ev.incoming) == 1:
-            return self._resolve_breakdown(ev)
         kindset = set(kinds)
         if kindset == {FrontKind.DELTA_SHOCK}:
             return self._resolve_riemann(ev, RULE_MERGE_DELTAS)
@@ -274,7 +248,7 @@ class _Tracker:
             return self._resolve_riemann(ev, RULE_SHOCK_HITS_DELTA)
         if kindset == {FrontKind.DELTA_SHOCK, FrontKind.CONTACT}:
             return self._resolve_riemann(ev, RULE_DELTA_CROSSES_CONTACT)
-        if FrontKind.FAN_EDGE in kindset and len(ev.incoming) == 2:
+        if FrontKind.FAN_EDGE in kindset:
             other = next(self.fronts[f] for f in ev.incoming
                          if self.fronts[f].kind is not FrontKind.FAN_EDGE)
             if other.kind is FrontKind.DELTA_SHOCK and isinstance(other.geom, Line):
@@ -291,11 +265,10 @@ class _Tracker:
     # -- commit machinery ----------------------------------------------------
 
     def _slice_bounds(self, ev: _PendingEvent):
+        # the incoming fronts are one front or an adjacent pair, left first
         ep = self.epochs[-1]
-        order = {fid: i for i, fid in enumerate(ep.fronts)}
-        i = order[ev.incoming[0]]
-        j = order[ev.incoming[-1]]
-        return ep, i, j
+        i = ep.fronts.index(ev.incoming[0])
+        return ep, i, i + len(ev.incoming) - 1
 
     def _commit(self, ev, rule, new_fids, gamma_in):
         """Replace the incoming fronts by ``new_fids``; ``gamma_in`` is the
@@ -361,46 +334,56 @@ class _Tracker:
         self._commit(ev, rule, self._materialize_fan(fan, lrid, rrid), gamma)
 
     def _resolve_delta_enters_fan(self, ev):
-        delta = next(self.fronts[f] for f in ev.incoming
-                     if self.fronts[f].kind is FrontKind.DELTA_SHOCK)
+        """The delta rides into the fan on ``fan_delta_trajectory``, where
+        its u-gap to the fan trace shrinks from the near edge's to the far
+        edge's.  A gap of 2 at the near edge (or below it, by rounding of the
+        states) is a breakdown at the entry point, a gap below 2 at the far
+        edge a breakdown inside the fan, and otherwise (a tie at 2
+        included) the delta exits the fan."""
+        delta, edge = (self.fronts[f] for f in ev.incoming)
+        if edge.kind is not FrontKind.FAN_EDGE:
+            delta, edge = edge, delta
         lrid, rrid = self._outer_regions(ev)
         left, right = self.regions[lrid], self.regions[rrid]
         fan_on_right = isinstance(right.u_law, FanU)
         fan_reg = right if fan_on_right else left
         const = self._const_state(lrid if fan_on_right else rrid)
+        sign = 1.0 if fan_on_right else -1.0
         center = Point(fan_reg.u_law.tc, fan_reg.u_law.xc)
-        curve = fan_delta_trajectory(Point(ev.t, ev.x), const.u, center)
+        entry = Point(ev.t, ev.x)
+        curve = fan_delta_trajectory(entry, const.u, center)
         gamma0 = delta.strength(ev.t)
-        t_s = breakdown_time(curve, ev.t)
+        if sign * (const.u - edge.geom.m) <= 2.0:
+            return self._resolve_breakdown(ev, curve, gamma0)
         # remaining fan edge: the front beyond the fan region in the new order
         ep, i, j = self._slice_bounds(ev)
-        far_edge_idx = j + 1 if fan_on_right else i - 1
-        far_edge = self.fronts[ep.fronts[far_edge_idx]]
-        p_exit = intersect(curve, far_edge.geom, after=ev.t * (1 + 1e-12))
-        t_exit = p_exit.t if p_exit is not None else INF
-        t_end = min(t_s if t_s is not None else INF, t_exit)
-        if not (t_end > ev.t) or not math.isfinite(t_end):
+        far_edge = self.fronts[ep.fronts[j + 1 if fan_on_right else i - 1]]
+        breaks = sign * (const.u - far_edge.geom.m) < 2.0
+        if breaks:
+            t_end = breakdown_time(curve, ev.t)
+        else:
+            p_exit = intersect(curve, far_edge.geom, ev.t)
+            t_end = p_exit.t if p_exit is not None else None
+        if t_end is None:
             raise TrackingError(
-                f"degenerate fan passage at t={ev.t} (t_s={t_s}, t_exit={t_exit})")
-        schedule_breakdown = (t_s is not None
-                              and t_s < t_exit * (1.0 - 1e-12))
-
-        law = TabulatedStrength(curve, fan_reg.v_law, const.v,
-                                1.0 if fan_on_right else -1.0,
+                f"degenerate fan passage at t={ev.t} (no "
+                f"{'breakdown' if breaks else 'exit'} time)")
+        law = TabulatedStrength(curve, fan_reg.v_law, const.v, sign,
                                 ev.t, t_end, gamma0)
         fid = self._new_front(FrontKind.DELTA_SHOCK, curve, lrid, rrid,
-                              strength=law, birth=ev.t,
-                              breakdown_t=t_s if schedule_breakdown else None)
+                              entry, strength=law,
+                              breakdown_t=t_end if breaks else None)
         self._commit(ev, RULE_DELTA_ENTERS_FAN, [fid], gamma0)
 
-    def _resolve_breakdown(self, ev):
-        delta = self.fronts[ev.incoming[0]]
-        curve: SqrtCurve = delta.geom
+    def _resolve_breakdown(self, ev, curve: SqrtCurve, gamma_s: float):
+        """The delta on ``curve`` with strength ``gamma_s`` splits at the
+        event point into a delta contact and a shock that goes on along
+        ``curve``: at a scheduled breakdown in the fan, or at fan entry."""
         lrid, rrid = self._outer_regions(ev)
         left, right = self.regions[lrid], self.regions[rrid]
-        gamma_s = delta.strength(ev.t)
         B = 0.5 * abs(curve.K)
         t_s, x_s = ev.t, ev.x
+        origin = Point(t_s, x_s)
         if isinstance(right.u_law, FanU):
             # constant state on the left: straight delta contact, slope u0 - 1
             u0 = self._const_state(lrid).u
@@ -415,13 +398,13 @@ class _Tracker:
             # constant state on the right: the contact rides a fan characteristic
             st_r = self._const_state(rrid)
             center = Point(left.u_law.tc, left.u_law.xc)
-            contact = characteristic_in_fan(Point(t_s, x_s), center)
+            contact = characteristic_in_fan(origin, center)
             w_rid = self._new_region(FanU(center.t, center.x),
                                      WCurvedV(B, st_r.v, st_r.u),
                                      "w-curved")
         f1 = self._new_front(FrontKind.DELTA_CONTACT, contact, lrid, w_rid,
-                             strength=ConstantStrength(gamma_s), birth=t_s)
-        f2 = self._new_front(FrontKind.SHOCK, curve, w_rid, rrid, birth=t_s)
+                             origin, strength=ConstantStrength(gamma_s))
+        f2 = self._new_front(FrontKind.SHOCK, curve, w_rid, rrid, origin)
         self._commit(ev, RULE_BREAKDOWN, [f1, f2], gamma_s)
 
     def _resolve_contact_continuation(self, ev):
@@ -438,12 +421,13 @@ class _Tracker:
         w_tilde_rid = self._new_region(
             ConstLaw(u0), WTildeCurvedV(u0, wlaw.B, wlaw.v2, wlaw.u2),
             "w-tilde")
+        origin = Point(ev.t, ev.x)
         f_dc = self._new_front(FrontKind.DELTA_CONTACT,
                                Line(ev.t, ev.x, u0 - 1.0),
-                               lrid, w_tilde_rid,
-                               strength=ConstantStrength(gamma), birth=ev.t)
+                               lrid, w_tilde_rid, origin,
+                               strength=ConstantStrength(gamma))
         f_edge = self._new_front(FrontKind.FAN_EDGE, edge.geom,
-                                 w_tilde_rid, rrid, birth=ev.t)
+                                 w_tilde_rid, rrid, origin)
         self._commit(ev, RULE_CONTACT_CONTINUATION, [f_dc, f_edge], gamma)
 
     # -- driver ----------------------------------------------------------------

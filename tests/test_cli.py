@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from deltashock import interact
 from deltashock.battery import BATTERY
 from deltashock.cli import (_front_times, _grid_rows, emit, main,
                             parse_scenario, scenario_to_dict)
@@ -77,29 +78,50 @@ def test_bad_solve_option_exits_2(args, extra, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_tracking_failure_exits_4(tmp_path, capsys):
-    # an exact u-gap of 2: the tracker cannot pass the delta through the fan
-    p = tmp_path / "gap2.json"
-    json.dump({"states": [[-2, 1], [0, 1], [-2, 1]], "offset": 1.0},
-              p.open("w"))
+def test_tracking_failure_exits_4(tmp_path, capsys, monkeypatch):
+    # a fault: the breakdown inside the fan gets no time
+    monkeypatch.setattr(interact, "breakdown_time", lambda curve, after: None)
+    p = tmp_path / "case4iia.json"
+    json.dump(scenario_to_dict(BATTERY["case4iia"]), p.open("w"))
     assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate fan passage")
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
-def test_breakdown_at_fan_entry_exits_4(tmp_path, capsys):
-    # an exact u-gap of 2 where the delta loses overcompressibility as it
-    # enters the fan: the breakdown falls inside the entry event's window
-    p = tmp_path / "entry.json"
-    json.dump({"states": [[1.25, 0.672883255536642],
-                          [5.5, 1.3808802634686494],
-                          [3.5, 0.6273382232099308]],
-               "offset": 2.0931151696592165}, p.open("w"))
-    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 4
-    err = capsys.readouterr().err
-    assert err.startswith("error: breakdown of front")
-    assert err.count("\n") == 1 and "Traceback" not in err
+def test_breakdown_at_fan_entry_exits_0(tmp_path):
+    # at an exact u-gap of 2 the delta loses overcompressibility where it
+    # enters the fan: it breaks down on the fan edge
+    for k, (states, offset) in enumerate([
+            ([[-2, 1], [0, 1], [-2, 1]], 1.0),
+            ([[1.25, 0.672883255536642], [5.5, 1.3808802634686494],
+              [3.5, 0.6273382232099308]], 2.0931151696592165)]):
+        p, out = tmp_path / f"gap2-{k}.json", tmp_path / f"o{k}"
+        json.dump({"states": states, "offset": offset}, p.open("w"))
+        assert main(["solve", str(p), "--out", str(out)]) == 0
+        doc = json.loads((out / "events.json").read_text())
+        fronts = {f["id"]: f for f in doc["fronts"]}
+        bd = next(e for e in doc["events"]
+                  if e["rule"] == "BreakdownBifurcation")
+        delta, edge = sorted((fronts[f] for f in bd["incoming"]),
+                             key=lambda f: f["kind"])
+        assert (delta["kind"], edge["kind"]) == ("delta_shock", "fan_edge")
+        line = edge["geometry"]
+        assert bd["x"] == pytest.approx(
+            line["x0"] + line["slope"] * (bd["t"] - line["t0"]), abs=1e-12)
+
+
+def test_overflowing_crossing_exits_0(tmp_path):
+    # a contact and a fan edge would cross at t = 3.46e307 with x = -inf
+    p = tmp_path / "far.json"
+    json.dump({"states": [[-683.167488598586, 0.00022070735544151807],
+                          [508679.4833689168, 0.0],
+                          [0.29015314025339817, -568.4945003878698]],
+               "offset": 27749.495519258642}, p.open("w"))
+    assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 0
+    doc = json.loads((tmp_path / "o" / "events.json").read_text())
+    assert [e["rule"] for e in doc["events"]] == ["DeltaEntersFan",
+                                                  "BreakdownBifurcation"]
 
 
 def test_solve_writes_outputs(case1_file, tmp_path, capsys):
@@ -145,6 +167,12 @@ def test_riemann_subcommand(capsys):
         assert captured.out == ""
         assert captured.err.startswith(f"error: {flag} must be ")
         assert captured.err.count("\n") == 1
+
+
+def test_riemann_negative_u_takes_equals_form(capsys):
+    # argparse reads a value such as -1,1 after a space as an option
+    assert main(["riemann", "--left=-1,1", "--right=-4,1"]) == 0
+    assert "delta shock" in capsys.readouterr().out
 
 
 def test_verify_subcommand(case1_file, capsys):

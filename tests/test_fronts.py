@@ -81,6 +81,8 @@ def test_intersect_lines():
     p = intersect(Line(0.0, -1.0, 2.5), Line(0.0, 0.0, 1.0), after=0.0)
     assert (p.t, p.x) == (pytest.approx(2.0 / 3.0), pytest.approx(2.0 / 3.0))
     assert intersect(Line(0.0, 0.0, 3.0), Line(0.0, -1.0, 3.0), after=0.0) is None
+    # a crossing at t = 1e308, where x = 2e308 overflows, is no event
+    assert intersect(Line(0.0, 0.0, 2.0), Line(0.0, 1e308, 1.0), after=0.0) is None
 
 
 def test_intersect_line_sqrt_tangency_is_no_event():

@@ -16,8 +16,10 @@ from deltashock.interact import (ScenarioError, TrackingError, run,
 from deltashock.riemann import WaveCase, rh_deficit, v_star
 from deltashock.verify import (
     TestFunction,
+    _mass_at,
     auto_window,
     delta_contact_slope_error,
+    fan_approx_oracle,
     mass_balance,
     overcompressibility_report,
     weak_residual_rel,
@@ -315,21 +317,9 @@ def test_fan_spanning_2000_tracks_without_overflow():
                         np.linspace(1e-3, t_hi, 11)) <= 1e-8
 
 
-# per-rule event counts of the u-grid's solutions; closing the u-gap-2
-# boundary (ROADMAP item 2) will turn failures into solutions and change them
-U_GRID_RULES = {
-    "BreakdownBifurcation": 456, "ContactContinuation": 228,
-    "DeltaCrossesContact": 602, "DeltaEntersFan": 696, "FrontExitsFan": 456,
-    "MergeDeltas": 70, "ShockHitsDelta": 170,
-}
-
-
-def test_u_grid_fails_only_at_u_gap_2():
+def _u_grid():
     # every valid draw of half-integer u in [-2, 4]^3 at offsets -1 and +1
-    # ends in a solution or in a TrackingError whose delta pair is exactly
-    # at the u-gap 2, where overcompressibility becomes an equality
     grid = [k / 2.0 for k in range(-4, 9)]
-    rules, valid, failed = Counter(), 0, 0
     for off in (-1.0, 1.0):
         for u in itertools.product(grid, repeat=3):
             scenario = sc(*u, off, v=(1.0, 0.8, 1.2))
@@ -337,16 +327,126 @@ def test_u_grid_fails_only_at_u_gap_2():
                 validate_scenario(scenario)
             except ScenarioError:
                 continue
-            valid += 1
-            try:
-                sol = run(scenario)
-            except TrackingError:
-                failed += 1
-                assert (u[0] - u[1] if off < 0.0 else u[1] - u[2]) == 2.0, u
-                continue
-            rules.update(e.rule for e in sol.events)
-    assert (valid, failed) == (1080, 144)
-    assert rules == U_GRID_RULES
+            yield scenario
+
+
+def _delta_gap(scenario):
+    # the u-gap of the delta pair, at least 2
+    if scenario.offset < 0.0:
+        return scenario.left.u - scenario.middle.u
+    return scenario.middle.u - scenario.right.u
+
+
+# per-rule event counts of the u-grid's solutions
+U_GRID_RULES = {
+    "BreakdownBifurcation": 600, "ContactContinuation": 300,
+    "DeltaCrossesContact": 674, "DeltaEntersFan": 696, "FrontExitsFan": 510,
+    "MergeDeltas": 70, "ShockHitsDelta": 170,
+}
+
+
+def test_u_grid_solves_every_draw():
+    # at an exact u-gap of 2, where overcompressibility becomes an equality,
+    # the delta breaks down as it enters the fan
+    sols = [run(scenario) for scenario in _u_grid()]
+    assert len(sols) == 1080
+    assert Counter(e.rule for sol in sols for e in sol.events) == U_GRID_RULES
+
+
+def test_gap_2_breakdown_at_fan_entry_matches_fan_oracle():
+    # the N-step oracle, which uses no tracker, bifurcates at its first fan
+    # step, a distance O(1/N) past the tracker's breakdown at fan entry
+    errs = {100: 0.0, 400: 0.0, 1600: 0.0}
+    for scenario in _u_grid():
+        if validate_scenario(scenario)[0] not in (4, 5) or _delta_gap(
+                scenario) != 2.0:
+            continue
+        sol = run(scenario)
+        bd = next(e for e in sol.events if e.rule == "BreakdownBifurcation")
+        assert {sol.fronts[f].kind for f in bd.incoming} == {
+            FrontKind.DELTA_SHOCK, FrontKind.FAN_EDGE}
+        for n in errs:
+            orun = fan_approx_oracle(scenario, n)
+            assert orun.end_kind == "bifurcation"
+            errs[n] = max(errs[n], abs(orun.t_end - bd.t) / bd.t)
+    assert all(err <= 4.0 / n for n, err in errs.items()), errs
+
+
+def test_far_edge_tie_exits_the_fan():
+    # u2 = u0 - 2 is sub-case 4(i): the delta's u-gap reaches 2 exactly as
+    # it reaches the far fan edge, and it exits there as a delta shock
+    sol = run(sc(4, 1, 2, -1.0))
+    assert [e.rule for e in sol.events] == [
+        "DeltaCrossesContact", "DeltaEntersFan", "FrontExitsFan"]
+    (out,) = sol.events[-1].outgoing
+    assert sol.fronts[out].kind is FrontKind.DELTA_SHOCK
+
+
+@pytest.mark.parametrize("states, offset, rules", [
+    # the delta crosses the contact 2.7e-13 before it meets the fan edge
+    pytest.param(((735460.6, -127.5), (-9.04e-4, 0.0), (-1.88e-5, 2979.8)),
+                 -0.0363, ["DeltaCrossesContact", "DeltaEntersFan",
+                           "FrontExitsFan"], id="close-events"),
+    # the breakdown pair leaves its birth point tangent, a double root of
+    # the line-sqrt quadratic whose terms cancel from 5.8e11
+    pytest.param(((-4910.04, -1276.95), (-6359.79, 0.0),
+                  (-4910.47, 3045671.5)),
+                 -162259.7, ["DeltaCrossesContact", "DeltaEntersFan",
+                             "BreakdownBifurcation", "FrontExitsFan"],
+                 id="tangent-birth"),
+])
+def test_large_magnitude_event_sequences(states, offset, rules):
+    sol = run(Scenario(*(State(*s) for s in states), offset))
+    assert [e.rule for e in sol.events] == rules
+    for fid, lo, hi in overcompressibility_report(sol):
+        assert lo >= 0.0 and hi >= 0.0
+    t_hi = max(2.0 * sol.events[-1].t, 1.0)
+    window = auto_window(sol, t_hi)
+    ts = np.linspace(1e-3 * t_hi, t_hi, 11)
+    mass = max(abs(_mass_at(sol, t, *window)) for t in ts)
+    assert mass_balance(sol, window, ts) <= 1e-12 * mass
+
+
+def test_overflowing_crossing_is_no_event():
+    # a contact and a fan edge would cross at t = 3.46e307, where x
+    # overflows to -inf
+    sol = run(Scenario(State(-683.167488598586, 0.00022070735544151807),
+                       State(508679.4833689168, 0.0),
+                       State(0.29015314025339817, -568.4945003878698),
+                       27749.495519258642))
+    assert [e.rule for e in sol.events] == ["DeltaEntersFan",
+                                            "BreakdownBifurcation"]
+    for fid, lo, hi in overcompressibility_report(sol):
+        assert lo > 0.0 and hi > 0.0
+
+
+def _magnitude(rng):
+    return float(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-4.0, 6.0))
+
+
+def test_magnitude_fuzz_keeps_fronts_ordered():
+    # u, v and the offset over ten decades of either sign (v = 0 with
+    # probability 0.2): every draw ends in a ScenarioError that names the
+    # violated inequality, or in a solution whose fronts keep their order
+    # inside each epoch (checked at its midpoint; the last one at 2 t0 + 1)
+    rng = np.random.default_rng(11)
+    solved = 0
+    for _ in range(400):
+        u = [_magnitude(rng) for _ in range(3)]
+        v = [0.0 if rng.random() < 0.2 else _magnitude(rng) for _ in range(3)]
+        try:
+            sol = run(sc(*u, _magnitude(rng), v))
+        except ScenarioError as exc:
+            assert "violated" in str(exc) or "required" in str(exc)
+            continue
+        solved += 1
+        for ep in sol.epochs:
+            t = (0.5 * (ep.t0 + ep.t1) if math.isfinite(ep.t1)
+                 else 2.0 * ep.t0 + 1.0)
+            pos = [float(sol.fronts[f].geom.pos(t)) for f in ep.fronts]
+            assert all(a <= b + 1e-12 * (1.0 + abs(b))
+                       for a, b in zip(pos, pos[1:])), (u, v, ep.t0)
+    assert solved == 164
 
 
 def _edit_later_fans(edit):
@@ -405,23 +505,12 @@ def test_riemann_resolver_fault_checks(monkeypatch, name, target, attr, value,
         run(BATTERY[name])
 
 
-def _u_grid_solutions():
-    # the solutions of test_u_grid_fails_only_at_u_gap_2's grid
-    grid = [k / 2.0 for k in range(-4, 9)]
-    for off in (-1.0, 1.0):
-        for u in itertools.product(grid, repeat=3):
-            try:
-                yield run(sc(*u, off, v=(1.0, 0.8, 1.2)))
-            except (ScenarioError, TrackingError):
-                continue
-
-
 def test_fan_interior_spawn_margins_never_shrink():
     # the spawn check decides a fan-interior delta at the end of its fan
     # passage alone, which holds only if its margins u_R - c' and
     # c' - (u_L - 1) are nondecreasing over (birth, t1]
     sols = itertools.chain((run(s) for s in BATTERY.values()),
-                           _u_grid_solutions())
+                           (run(s) for s in _u_grid()))
     checked = 0
     for sol in sols:
         for f in sol.fronts.values():
