@@ -5,13 +5,26 @@ that may carry Dirac atoms on discontinuity curves.  Everything here is a
 plain immutable value type: curve geometries in the x-t half plane, strength
 laws for delta atoms, closed-form field laws for regions, and the event-graph
 ``Solution`` container produced by the front tracker.
+
+Float/array contract.  The geometries (``Line``, ``SqrtCurve``,
+``LogCurve``), the strength laws, the point laws ``ConstLaw``, ``FanU`` and
+``FanExpV``, ``split_weight`` and ``Front.u_traces``/``Front.atom`` take a
+time (and position) either as a float, and then return a Python float
+computed in plain float arithmetic, or as an array, and then return an
+array; a 0-d array counts as a float.  One expression serves both, with
+bit-identical results: Python and numpy round +, -, *, / and sqrt alike,
+but not exp, log and expm1, which therefore stay numpy ufuncs on a float
+too.  A float raises nowhere the array path returns a value: a negative
+sqrt argument gives nan and a zero divisor numpy's signed inf or nan.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -23,6 +36,43 @@ _EPS = float(np.finfo(float).eps)
 def _returns_like(t, values):
     """Return a float if the array ``t`` is 0-d, else the ndarray ``values``."""
     return float(values) if t.ndim == 0 else values
+
+
+# -- the float/array contract (see the module docstring) ---------------------
+
+def _arg(t):
+    """A float (or 0-d array) as a Python float, anything else as a float
+    array."""
+    if isinstance(t, float):
+        return float(t)
+    t = np.asarray(t, dtype=float)
+    return float(t) if t.ndim == 0 else t
+
+
+def _const(t, value):
+    """The constant ``value`` in the type of ``t``."""
+    if isinstance(t, float):
+        return float(value)
+    return np.full_like(t, value, dtype=float)
+
+
+def _np(ufunc, *args):
+    """A numpy ufunc, as a Python float on floats."""
+    out = ufunc(*args)
+    return out if isinstance(out, np.ndarray) else float(out)
+
+
+def _sqrt(y):
+    return math.sqrt(y) if type(y) is float and y >= 0.0 else _np(np.sqrt, y)
+
+
+def _div(a, b):
+    # float division by zero raises; numpy's gives inf or nan
+    return _np(np.divide, a, b) if type(b) is float and b == 0.0 else a / b
+
+
+def _where(cond, a, b):
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 # ---------------------------------------------------------------------------
@@ -81,12 +131,10 @@ class Line(CurveGeometry):
     m: float
 
     def pos(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, self.x0 + self.m * (t - self.t0))
+        return self.x0 + self.m * (_arg(t) - self.t0)
 
     def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, np.full_like(t, self.m, dtype=float))
+        return _const(_arg(t), self.m)
 
 
 @dataclass(frozen=True)
@@ -104,14 +152,12 @@ class SqrtCurve(CurveGeometry):
     xc: float = 0.0
 
     def pos(self, t):
-        t = np.asarray(t, dtype=float)
-        dt = t - self.tc
-        return _returns_like(t, self.xc + self.u_k * dt + self.K * np.sqrt(dt))
+        dt = _arg(t) - self.tc
+        return self.xc + self.u_k * dt + self.K * _sqrt(dt)
 
     def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        dt = t - self.tc
-        return _returns_like(t, self.u_k + self.K / (2.0 * np.sqrt(dt)))
+        dt = _arg(t) - self.tc
+        return self.u_k + _div(self.K, 2.0 * _sqrt(dt))
 
 
 @dataclass(frozen=True)
@@ -127,14 +173,12 @@ class LogCurve(CurveGeometry):
     xc: float = 0.0
 
     def pos(self, t):
-        t = np.asarray(t, dtype=float)
-        dt = t - self.tc
-        return _returns_like(t, self.xc + dt * (self.C - np.log(dt)))
+        dt = _arg(t) - self.tc
+        return self.xc + dt * (self.C - _np(np.log, dt))
 
     def slope(self, t):
-        t = np.asarray(t, dtype=float)
-        dt = t - self.tc
-        return _returns_like(t, self.C - np.log(dt) - 1.0)
+        dt = _arg(t) - self.tc
+        return self.C - _np(np.log, dt) - 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,12 +200,10 @@ class ConstantStrength(StrengthLaw):
     gamma: float
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, np.full_like(t, self.gamma, dtype=float))
+        return _const(_arg(t), self.gamma)
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, np.zeros_like(t))
+        return _const(_arg(t), 0.0)
 
 
 @dataclass(frozen=True)
@@ -173,12 +215,10 @@ class AffineStrength(StrengthLaw):
     t_ref: float
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, self.s * (t - self.t_ref) + self.gamma)
+        return self.s * (_arg(t) - self.t_ref) + self.gamma
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        return _returns_like(t, np.full_like(t, self.s, dtype=float))
+        return _const(_arg(t), self.s)
 
 
 @dataclass(frozen=True)
@@ -209,31 +249,28 @@ class TabulatedStrength(StrengthLaw):
         # the fan; the factors v_ref e^(u_k - u_ref) and e^(K/ry) apart
         # overflow for |u| ~ 1e3
         c = self.curve
-        return self.fan_v.v_ref * np.exp(c.u_k + c.K / ry - self.fan_v.u_ref)
+        return self.fan_v.v_ref * _np(np.exp, c.u_k + _div(c.K, ry) - self.fan_v.u_ref)
 
     def __call__(self, t):
-        t = np.asarray(t, dtype=float)
+        t = _arg(t)
         c = self.curve
         dt = t - self.t0
         y0 = self.t0 - c.tc
-        ry, ry0 = np.sqrt(t - c.tc), math.sqrt(y0)
-        q = dt / (ry + ry0)                 # sqrt(y) - sqrt(y0)
+        ry, ry0 = _sqrt(t - c.tc), _sqrt(y0)
+        q = _div(dt, ry + ry0)              # sqrt(y) - sqrt(y0)
         vf, vf0 = self._fan_trace(ry), self._fan_trace(ry0)
         # vf - vf0 = vf0 expm1(a), with a = K (1/sqrt(y) - 1/sqrt(y0)) the
         # change of the fan-side u; expm1(-|a|) times the larger trace has
         # no cancellation near entry and no overflow when vf0 underflows
-        a = -c.K * q / (ry * ry0)
-        dvf = np.expm1(-np.abs(a)) * np.where(a >= 0.0, -vf, vf0)
+        a = _div(-c.K * q, ry * ry0)
+        dvf = _np(np.expm1, -abs(a)) * _where(a >= 0.0, -vf, vf0)
         jump = dt * vf + y0 * dvf           # y vf(y) - y0 vf(y0)
-        out = self.gamma0 + self.sigma * (jump - self.v_k * (dt + c.K * q))
-        return _returns_like(t, out)
+        return self.gamma0 + self.sigma * (jump - self.v_k * (dt + c.K * q))
 
     def rate(self, t):
-        t = np.asarray(t, dtype=float)
-        ry = np.sqrt(t - self.curve.tc)
-        h = self.curve.K / (2.0 * ry)
-        out = self.sigma * (self._fan_trace(ry) * (1.0 - h) - self.v_k * (1.0 + h))
-        return _returns_like(t, out)
+        ry = _sqrt(_arg(t) - self.curve.tc)
+        h = _div(self.curve.K, 2.0 * ry)
+        return self.sigma * (self._fan_trace(ry) * (1.0 - h) - self.v_k * (1.0 + h))
 
 
 # ---------------------------------------------------------------------------
@@ -258,8 +295,7 @@ class ConstLaw(FieldLaw):
     value: float
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        return _returns_like(x, np.full_like(x, self.value, dtype=float))
+        return _const(_arg(x), self.value)
 
 
 @dataclass(frozen=True)
@@ -270,9 +306,7 @@ class FanU(FieldLaw):
     xc: float = 0.0
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return _returns_like(x, (x - self.xc) / (t - self.tc))
+        return _div(_arg(x) - self.xc, _arg(t) - self.tc)
 
 
 @dataclass(frozen=True)
@@ -288,10 +322,8 @@ class FanExpV(FieldLaw):
     xc: float = 0.0
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return _returns_like(x, self.v_ref * np.exp((x - self.xc) / (t - self.tc)
-                                                    - self.u_ref))
+        return self.v_ref * _np(np.exp, _div(_arg(x) - self.xc, _arg(t) - self.tc)
+                                - self.u_ref)
 
 
 _MARKER_TOL = 1e-12
@@ -525,11 +557,11 @@ class Region:
 
 def split_weight(uL, uR, slope):
     """Left-sided weight w0 of an atom with traces uL, uR on a front of the
-    given slope (arrays): the root of the delta'-coefficient condition, or
-    0.5 where |uL - uR| < 1e-12 (see ``Front.atom``)."""
+    given slope (floats or arrays): the root of the delta'-coefficient
+    condition, or 0.5 where |uL - uR| < 1e-12 (see ``Front.atom``)."""
     du = uL - uR
-    even = np.abs(du) < 1e-12
-    return np.where(even, 0.5, (slope - uR + 1.0) / np.where(even, 1.0, du))
+    even = abs(du) < 1e-12
+    return _where(even, 0.5, (slope - uR + 1.0) / _where(even, 1.0, du))
 
 
 @dataclass
@@ -561,12 +593,11 @@ class Front:
         return self.birth <= t < self.death
 
     def u_traces(self, t):
-        """(u_L, u_R) on the curve at times t, as arrays; a constant side is
-        its value, with no position evaluated."""
-        t = np.asarray(t, dtype=float)
-        return tuple(np.full_like(t, law.value) if isinstance(law, ConstLaw)
-                     else np.asarray(law(self.geom.pos(t), t), dtype=float)
-                     for law in self.u_laws)
+        """(u_L, u_R) on the curve at times t; a constant side is its value,
+        with no position evaluated."""
+        t = _arg(t)
+        return tuple(_const(t, law.value) if isinstance(law, ConstLaw)
+                     else law(self.geom.pos(t), t) for law in self.u_laws)
 
     def atom(self, t):
         """(alpha, alpha0, alpha1): the strength at t and its left- and
@@ -577,10 +608,8 @@ class Front:
         (uL = uR) splits evenly, the convention for the non-unique case.
         """
         a = self.strength(t)
-        t = np.asarray(t, dtype=float)
-        w0 = _returns_like(t, split_weight(*self.u_traces(t),
-                                           np.asarray(self.geom.slope(t))))
-        return a, a * w0, a * (1.0 - np.asarray(w0))
+        w0 = split_weight(*self.u_traces(t), self.geom.slope(t))
+        return a, a * w0, a * (1.0 - w0)
 
 
 @dataclass(frozen=True)
@@ -646,9 +675,9 @@ class Solution:
     t_max_computed: float
 
     def epoch_at(self, t: float) -> Epoch:
-        if t < 0.0:
-            raise ValueError("t must be >= 0")
-        for ep in reversed(self.epochs):
-            if t >= ep.t0:
-                return ep
-        return self.epochs[0]
+        """The epoch in force at time t >= 0: the last one that starts at or
+        before t."""
+        if not t >= 0.0:
+            raise ValueError(f"t must be >= 0, got {t}")
+        k = bisect_right(self.epochs, t, key=attrgetter("t0"))
+        return self.epochs[max(k, 1) - 1]

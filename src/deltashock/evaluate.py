@@ -3,16 +3,16 @@ alive at given times with positions, strengths, and splits.
 
 ``fields`` evaluates a whole (t, x) grid with a handful of array operations
 per epoch, one gather for all constant regions and one masked call per
-other law; ``atom_table`` evaluates every carrying front once
-on all the times at which it is alive.  ``sample`` and ``atoms_at`` are their
-one-time cases, so a row of the grid is bit-identical to the sample at that
-time.
+other law; ``atom_table`` evaluates every carrying front once on all the
+times at which it is alive.  ``sample`` and ``atoms_at`` are their
+one-time cases, so a row of the grid is bit-identical to the sample at
+that time.  A closed form gets one time as a float and several as an
+array, whichever is cheaper, with the same bits either way (see ``core``).
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -54,26 +54,35 @@ def fields(sol: Solution, ts, xs):
 
     Returns two arrays of shape (len(ts), len(xs)), one row per time.
     Queries within 1e-12 of a front resolve to the left region (documented
-    convention).  Points essentially on a singular profile boundary come
-    back as signed infinities, never as silently huge finite numbers.
+    convention); x = -inf and +inf are in the outer states, and a NaN x
+    raises ``ValueError``.  Points essentially on a singular profile
+    boundary come back as signed infinities, never as silently huge finite
+    numbers.
     """
     ts, tl = _times(ts)
     xs = np.asarray(xs, dtype=float).reshape(-1)
+    if np.isnan(xs).any():
+        raise ValueError("sampling requires x that is not NaN")
     # the region of every point, located epoch by epoch
     rid = np.empty((len(ts), len(xs)), dtype=np.intp)
-    starts = [ep.t0 for ep in sol.epochs]
-    which = np.array([max(bisect_right(starts, t) - 1, 0) for t in tl])
-    for e in set(which.tolist()):
-        ep = sol.epochs[e]
-        rows = (which == e).nonzero()[0]
+    epochs = {}
+    for j, t in enumerate(tl):
+        ep = sol.epoch_at(t)
+        epochs.setdefault(id(ep), (ep, []))[1].append(j)
+    for ep, rows in epochs.values():
         idx = np.zeros((len(rows), len(xs)), dtype=np.intp)
         if ep.fronts:
             # pos[j, 1 + f]: front f at time j, after a NaN column; idx
             # counts the fronts at or left of x, then points on the nearest
             # of them (pos[j, idx], NaN when there is none) move to its left
-            t_rows = ts[rows]
-            pos = np.array([np.full(len(rows), np.nan)]
-                           + [sol.fronts[f].geom.pos(t_rows) for f in ep.fronts]).T
+            geoms = [sol.fronts[f].geom for f in ep.fronts]
+            if len(rows) == 1:
+                t = tl[rows[0]]
+                pos = np.array([[math.nan] + [g.pos(t) for g in geoms]])
+            else:
+                t = ts[rows]
+                pos = np.array([np.full(len(rows), math.nan)]
+                               + [g.pos(t) for g in geoms]).T
             idx = (pos[:, 1:, None] <= xs).sum(axis=1)
             prev = pos[np.arange(len(rows))[:, None], idx]
             idx -= np.abs(xs - prev) <= _ON_FRONT_TOL * (1.0 + np.abs(prev))
@@ -123,12 +132,17 @@ def atom_table(sol: Solution, ts) -> list:
 
 
 def atoms_at(sol: Solution, t: float):
-    """All delta atoms alive at time t, sorted by position.
+    """All delta atoms alive at time t, sorted by position, ties in front
+    order: the one-time case of ``atom_table``, evaluated in floats.
 
     One entry per strength-carrying front; the split components come from
     the front's delta'-coefficient rule.
     """
-    return atom_table(sol, t)[0]
+    t = _times(t)[1][0]
+    atoms = [Atom(f.geom.pos(t), *f.atom(t), f.fid) for f in sol.fronts.values()
+             if f.strength is not None and f.alive_at(t)]
+    atoms.sort(key=lambda a: a.x)      # stable: ties keep front order
+    return tuple(atoms)
 
 
 def sample(sol: Solution, t: float, xs) -> Sample:

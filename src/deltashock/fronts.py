@@ -18,8 +18,6 @@ import math
 import sys
 from typing import Optional
 
-import numpy as np
-
 from .core import (INF, _EPS, CurveGeometry, Line, LogCurve, Point, SqrtCurve,
                    _halley)
 
@@ -184,6 +182,5 @@ def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Poin
     if not ts:
         return None
     t = ts[0]
-    with np.errstate(over="ignore"):
-        x = 0.5 * (a.pos(t) + b.pos(t))
+    x = 0.5 * (a.pos(t) + b.pos(t))
     return Point(t, x) if math.isfinite(x) else None

@@ -178,7 +178,7 @@ class _Tracker:
         t = f.strength.t1 if isinstance(f.geom, SqrtCurve) else f.birth
         u_left, u_right = f.u_traces(t)
         cdot = f.geom.slope(t)
-        lo, hi = float(u_right - cdot), float(cdot - (u_left - 1.0))
+        lo, hi = u_right - cdot, cdot - (u_left - 1.0)
         if lo > 1e-9 or hi > 1e-9:
             raise TrackingError(
                 f"non-overcompressive delta shock spawned (front {f.fid}, "

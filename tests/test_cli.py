@@ -17,8 +17,8 @@ from deltashock.verify import auto_window
 @pytest.fixture
 def case1_file(tmp_path):
     p = tmp_path / "case1.json"
-    json.dump({"states": [[6, 1], [3, 1], [0, 1]], "offset": -1.0,
-               "t_max": 2.0, "grid": [41, 21]}, p.open("w"))
+    p.write_text(json.dumps({"states": [[6, 1], [3, 1], [0, 1]], "offset": -1.0,
+                             "t_max": 2.0, "grid": [41, 21]}))
     return p
 
 
@@ -33,14 +33,15 @@ def test_parse_scenario(case1_file):
 def test_parse_round_trip(case1_file, tmp_path):
     sc, _ = parse_scenario(case1_file)
     p2 = tmp_path / "round.json"
-    json.dump(scenario_to_dict(sc), p2.open("w"))
+    p2.write_text(json.dumps(scenario_to_dict(sc)))
     sc2, _ = parse_scenario(p2)
     assert sc2 == sc
 
 
 def test_invalid_scenario_exits_2(tmp_path, capsys):
     p = tmp_path / "bad.json"
-    json.dump({"states": [[3, 1], [3, 1], [0, 1]], "offset": -1.0}, p.open("w"))
+    p.write_text(json.dumps({"states": [[3, 1], [3, 1], [0, 1]],
+                             "offset": -1.0}))
     assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 2
     assert "u0 >= u1 + 2 violated" in capsys.readouterr().err
 
@@ -68,8 +69,8 @@ def test_missing_file_exits_2(tmp_path):
 ])
 def test_bad_solve_option_exits_2(args, extra, tmp_path, capsys):
     p = tmp_path / "s.json"
-    json.dump({"states": [[6, 1], [3, 1], [0, 1]], "offset": -1.0, **extra},
-              p.open("w"))
+    p.write_text(json.dumps({"states": [[6, 1], [3, 1], [0, 1]], "offset": -1.0,
+                             **extra}))
     assert main(["solve", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
     name = args[0] if args else next(iter(extra))
@@ -82,7 +83,7 @@ def test_tracking_failure_exits_4(tmp_path, capsys, monkeypatch):
     # a fault: the breakdown inside the fan gets no time
     monkeypatch.setattr(interact, "breakdown_time", lambda curve, after: None)
     p = tmp_path / "case4iia.json"
-    json.dump(scenario_to_dict(BATTERY["case4iia"]), p.open("w"))
+    p.write_text(json.dumps(scenario_to_dict(BATTERY["case4iia"])))
     assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 4
     err = capsys.readouterr().err
     assert err.startswith("error: degenerate fan passage")
@@ -97,7 +98,7 @@ def test_breakdown_at_fan_entry_exits_0(tmp_path):
             ([[1.25, 0.672883255536642], [5.5, 1.3808802634686494],
               [3.5, 0.6273382232099308]], 2.0931151696592165)]):
         p, out = tmp_path / f"gap2-{k}.json", tmp_path / f"o{k}"
-        json.dump({"states": states, "offset": offset}, p.open("w"))
+        p.write_text(json.dumps({"states": states, "offset": offset}))
         assert main(["solve", str(p), "--out", str(out)]) == 0
         doc = json.loads((out / "events.json").read_text())
         fronts = {f["id"]: f for f in doc["fronts"]}
@@ -114,10 +115,11 @@ def test_breakdown_at_fan_entry_exits_0(tmp_path):
 def test_overflowing_crossing_exits_0(tmp_path):
     # a contact and a fan edge would cross at t = 3.46e307 with x = -inf
     p = tmp_path / "far.json"
-    json.dump({"states": [[-683.167488598586, 0.00022070735544151807],
-                          [508679.4833689168, 0.0],
-                          [0.29015314025339817, -568.4945003878698]],
-               "offset": 27749.495519258642}, p.open("w"))
+    p.write_text(json.dumps({
+        "states": [[-683.167488598586, 0.00022070735544151807],
+                   [508679.4833689168, 0.0],
+                   [0.29015314025339817, -568.4945003878698]],
+        "offset": 27749.495519258642}))
     assert main(["solve", str(p), "--out", str(tmp_path / "o")]) == 0
     doc = json.loads((tmp_path / "o" / "events.json").read_text())
     assert [e["rule"] for e in doc["events"]] == ["DeltaEntersFan",
@@ -184,8 +186,8 @@ def test_verify_subcommand(case1_file, capsys):
 
 def test_oracle_subcommand(tmp_path, capsys):
     p = tmp_path / "c4.json"
-    json.dump({"states": [[4, 1], [1, 1], [1.5, 1]], "offset": -1.0},
-              p.open("w"))
+    p.write_text(json.dumps({"states": [[4, 1], [1, 1], [1.5, 1]],
+                             "offset": -1.0}))
     assert main(["oracle", str(p), "--n", "80"]) == 0
     assert "trajectory sup error" in capsys.readouterr().out
 
@@ -195,8 +197,8 @@ def test_oracle_outside_fan_cases_exits_2(case1_file, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: the fan oracle applies to cases 4 and 5")
     p = tmp_path / "c4.json"
-    json.dump({"states": [[4, 1], [1, 1], [1.5, 1]], "offset": -1.0},
-              p.open("w"))
+    p.write_text(json.dumps({"states": [[4, 1], [1, 1], [1.5, 1]],
+                             "offset": -1.0}))
     assert main(["oracle", str(p), "--n", "1"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: the fan oracle needs at least 2 fan steps")

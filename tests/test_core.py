@@ -3,11 +3,17 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from deltashock.battery import BATTERY
 from deltashock.core import (
     AffineStrength,
     ConstantStrength,
+    ConstLaw,
+    FanExpV,
+    FanU,
+    Front,
+    FrontKind,
     Line,
     LogCurve,
     Point,
@@ -18,6 +24,7 @@ from deltashock.core import (
     WCurvedV,
     WStraightV,
     _curved_s,
+    split_weight,
 )
 from deltashock.interact import run
 
@@ -111,6 +118,61 @@ def test_tabulated_strength_independent_of_batch():
         assert np.array_equal(law(ts), [law(float(t)) for t in ts])
         assert np.array_equal(law(ts[::7]), law(ts)[::7])
         assert np.array_equal(law.rate(ts[::7]), law.rate(ts)[::7])
+
+
+_MAG = st.floats(-1e6, 1e6)
+
+
+def _float_path_matches(f, *args):
+    """f on each float of ``args`` (equal-length lists) against f on them as
+    arrays: a Python float with the array's bits, and no exception where the
+    array path returns a value.  A NaN need only be NaN: IEEE 754 leaves the
+    sign and payload of a NaN result open, and they follow operand order."""
+    with np.errstate(all="ignore"):
+        whole = np.asarray(f(*(np.array(a) for a in args)), dtype=float)
+        each = [f(*point) for point in zip(*args)]
+    assert all(type(y) is float for y in each)
+    each, nan = np.array(each), np.isnan(whole)
+    assert np.array_equal(np.isnan(each), nan)
+    assert each[~nan].tobytes() == whole[~nan].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(tc=_MAG, xc=_MAG, u_k=_MAG, K=_MAG, C=_MAG, v_ref=_MAG, u_ref=_MAG,
+       v_k=_MAG, gamma=_MAG, sigma=st.sampled_from((-1.0, 1.0)),
+       y0=st.floats(0.0, 1e6), ys=st.lists(_MAG, min_size=1, max_size=12),
+       xs=st.lists(_MAG, min_size=14, max_size=14),
+       ws=st.lists(st.floats(-50.0, 50.0), min_size=14, max_size=14))
+def test_float_path_matches_array_path(tc, xc, u_k, K, C, v_ref, u_ref, v_k,
+                                       gamma, sigma, y0, ys, xs, ws):
+    # times from the fan center tc, the birth t0 = tc + y0 among them, and
+    # times before tc, where sqrt and log leave their domain; exp also sees
+    # moderate arguments: the point laws at x where the fan's u - u_ref is
+    # w, and a fan-crossing strength with K and u_k - u_ref of size w
+    t0 = tc + y0
+    ts = [tc, t0] + [tc + y for y in ys]
+    xs = xs[:len(ts)] + [xc + (u_ref + w) * (t - tc) for w, t in zip(ws, ts)]
+    sq = SqrtCurve(u_k, K, tc, xc)
+    fan_u, fan_v = FanU(tc, xc), FanExpV(v_ref, u_ref, tc, xc)
+    strengths = (ConstantStrength(gamma), AffineStrength(v_k, gamma, t0),
+                 TabulatedStrength(sq, fan_v, v_k, sigma, t0, t0 + 1.0, gamma),
+                 TabulatedStrength(SqrtCurve(u_k, ws[0], tc, xc),
+                                   FanExpV(v_ref, u_k + ws[1], tc, xc),
+                                   v_k, sigma, t0, t0 + 1.0, gamma))
+    for f in (*(g.pos for g in (Line(t0, xc, u_k), sq, LogCurve(C, tc, xc))),
+              *(g.slope for g in (Line(t0, xc, u_k), sq, LogCurve(C, tc, xc))),
+              *strengths, *(law.rate for law in strengths)):
+        _float_path_matches(f, ts)
+    for law in (ConstLaw(v_k), fan_u, fan_v):
+        _float_path_matches(law, xs, ts + ts)
+    _float_path_matches(split_weight, xs[:len(ts)], ys + [u_k, v_k], ts)
+    for geom, u_laws in ((sq, (ConstLaw(u_ref), fan_u)),
+                         (Line(t0, xc, K), (fan_u, ConstLaw(u_k)))):
+        front = Front(0, FrontKind.DELTA_SHOCK, geom, 0, 1, strengths[2], u_laws)
+        for k in range(2):
+            _float_path_matches(lambda t: front.u_traces(t)[k], ts)
+        for k in range(3):
+            _float_path_matches(lambda t: front.atom(t)[k], ts)
 
 
 def test_curved_root_matches_mpmath():

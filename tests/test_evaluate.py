@@ -75,6 +75,28 @@ def test_sample_rejects_nonpositive_time(case1):
             atoms_at(case1, t)
 
 
+def test_sample_rejects_nan_x(case1):
+    # a NaN x is no point of the line; +-inf are the outer states
+    with pytest.raises(ValueError):
+        sample(case1, 1.0, [math.nan])
+    with pytest.raises(ValueError):
+        fields(case1, [1.0], [0.0, math.nan])
+    s = sample(case1, 1.0, [-math.inf, math.inf])
+    assert s.u_vals.tolist() == [6.0, 0.0]
+    assert s.v_regular_vals.tolist() == [1.0, 1.0]
+
+
+def test_epoch_at_is_the_last_epoch_started(case1):
+    t_merge = case1.events[0].t
+    assert case1.epoch_at(0.0) is case1.epochs[0]
+    assert case1.epoch_at(math.nextafter(t_merge, 0.0)) is case1.epochs[0]
+    assert case1.epoch_at(t_merge) is case1.epochs[1]
+    assert case1.epoch_at(math.inf) is case1.epochs[1]
+    for t in (-1.0, math.nan):
+        with pytest.raises(ValueError):
+            case1.epoch_at(t)
+
+
 def test_w_region_values_increase_toward_contact():
     sol = run(BATTERY["case4iib"])
     t = 3.0
