@@ -31,6 +31,7 @@ import numpy as np
 
 INF = math.inf
 _EPS = float(np.finfo(float).eps)
+_EPOCH_START = attrgetter("t0")  # the bisection key of Solution.epoch_at
 
 
 def _returns_like(t, values):
@@ -379,39 +380,97 @@ _TAIL_COEF = tuple(1.0 / math.factorial(k) for k in range(20, 1, -1))
 
 def _expm1_tail(L):
     """e^L - 1 - L, as its Taylor series for |L| < 1, where expm1(L) - L
-    cancels."""
+    cancels; a float gives a float."""
+    if isinstance(L, float):
+        if not abs(L) < 1.0:
+            return _np(np.expm1, L) - L
+        series = _TAIL_COEF[0]
+        for c in _TAIL_COEF[1:]:
+            series = series * L + c
+        return series * L * L
     small = np.abs(L) < 1.0
     Ls = np.where(small, L, 0.0)
-    series = np.zeros_like(Ls)
-    for c in _TAIL_COEF:
-        series = series * Ls + c
-    return np.where(small, series * Ls * Ls, np.expm1(L) - L)
+    # Horner in place; its first step, 0 Ls + 1/20!, is 1/20! exactly
+    series = np.full_like(Ls, _TAIL_COEF[0])
+    for c in _TAIL_COEF[1:]:
+        series *= Ls
+        series += c
+    series *= Ls
+    series *= Ls
+    out = np.expm1(L) - L
+    np.copyto(out, series, where=small)
+    return out
+
+
+def _halley_one(L: float, g: float, sigma: float) -> float:
+    """``_halley`` on one value, in float arithmetic."""
+    for _ in range(_HALLEY_MAX):
+        em1 = _np(np.expm1, L)
+        f = em1 + sigma * L - g
+        d1 = em1 + (1.0 + sigma)
+        step = _div(2.0 * f * d1, 2.0 * d1 * d1 - f * (em1 + 1.0))
+        L -= step
+        if abs(step) <= 2.0 * _EPS * (1.0 + abs(L)):
+            break
+    if sigma < 0.0:
+        L -= _div(_expm1_tail(L) - g, _np(np.expm1, L))
+    return L
 
 
 def _halley(L, g, sigma: float):
     """Root of e^L - 1 + sigma L = g, sigma = +/-1, by Halley's iteration
-    from L, elementwise on arrays.
+    from L, elementwise; ``g`` is a scalar or has the shape of L.
 
     For sigma = -1 and small g the left side cancels to ~L^2/2, which
     leaves the iteration about eps/sqrt(2g) relative error; one Newton step
     on its series (``_expm1_tail``) restores full precision.  A point stops
     moving once its step is below rounding, so its value does not depend on
-    the rest of the batch.
+    the rest of the batch.  One value is iterated in floats (a float in,
+    a float out), several in place on one flat array; either way each
+    operation is the one of the expression L -= 2 f d1 / (2 d1 d1 - f
+    (em1 + 1)), f = em1 + sigma L - g, d1 = em1 + 1 + sigma,
+    em1 = e^L - 1, in the same order, so an element's bits do not depend
+    on the path.
     """
-    L = np.array(L, dtype=float)
-    done = np.zeros(L.shape, dtype=bool)
+    shape = np.shape(L)
+    L = np.array(L, dtype=float).reshape(-1)
+    g = np.reshape(g, -1)
+    if L.size == 1:
+        root = _halley_one(float(L[0]), float(g[0]), sigma)
+        return root if shape == () else np.full(shape, root)
+    em1, f, d1, step, den = np.empty((5, L.size))
+    done, now = np.zeros((2, L.size), dtype=bool)
     for _ in range(_HALLEY_MAX):
-        em1 = np.expm1(L)
-        f = em1 + sigma * L - g
-        d1 = em1 + (1.0 + sigma)
-        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * (em1 + 1.0))
-        L -= np.where(done, 0.0, step)
-        done |= np.abs(step) <= 2.0 * _EPS * (1.0 + np.abs(L))
+        np.expm1(L, out=em1)
+        np.multiply(L, sigma, out=f)
+        f += em1
+        f -= g
+        np.add(em1, 1.0 + sigma, out=d1)
+        np.multiply(f, 2.0, out=step)
+        step *= d1
+        np.multiply(d1, 2.0, out=den)
+        den *= d1
+        em1 += 1.0
+        em1 *= f
+        den -= em1
+        step /= den
+        np.copyto(step, 0.0, where=done)
+        L -= step
+        # done once |step| <= 2 eps (1 + |L|)
+        np.abs(L, out=em1)
+        em1 += 1.0
+        em1 *= 2.0 * _EPS
+        np.abs(step, out=step)
+        np.less_equal(step, em1, out=now)
+        done |= now
         if done.all():
             break
     if sigma < 0.0:
-        L -= (_expm1_tail(L) - g) / np.expm1(L)
-    return _returns_like(L, L)
+        step = _expm1_tail(L)
+        step -= g
+        step /= np.expm1(L, out=em1)
+        L -= step
+    return L.reshape(shape)
 
 
 def _curved_s(g0, B, s_upper):
@@ -679,5 +738,5 @@ class Solution:
         before t."""
         if not t >= 0.0:
             raise ValueError(f"t must be >= 0, got {t}")
-        k = bisect_right(self.epochs, t, key=attrgetter("t0"))
+        k = bisect_right(self.epochs, t, key=_EPOCH_START)
         return self.epochs[max(k, 1) - 1]

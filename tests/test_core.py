@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from deltashock import core
 from deltashock.battery import BATTERY
 from deltashock.core import (
     AffineStrength,
@@ -23,7 +24,11 @@ from deltashock.core import (
     TabulatedStrength,
     WCurvedV,
     WStraightV,
+    _HALLEY_MAX,
+    _TAIL_COEF,
     _curved_s,
+    _expm1_tail,
+    _halley,
     split_weight,
 )
 from deltashock.interact import run
@@ -191,6 +196,87 @@ def test_curved_root_matches_mpmath():
     # at and past the contact, and clamped at the shock
     s, bad = _curved_s(np.array([0.0, -1.0, 5.0]), B, np.array([1.0, 1.0, 0.25]))
     assert bad.tolist() == [True, True, False] and s[2] == pytest.approx(0.25)
+
+
+def _expm1_tail_ref(L):
+    """``_expm1_tail`` as an out-of-place loop, the reference for its bits."""
+    small = np.abs(L) < 1.0
+    Ls = np.where(small, L, 0.0)
+    series = np.zeros_like(Ls)
+    for c in _TAIL_COEF:
+        series = series * Ls + c
+    return np.where(small, series * Ls * Ls, np.expm1(L) - L)
+
+
+def _halley_ref(L, g, sigma):
+    """``_halley`` as an out-of-place loop over the whole batch, a converged
+    point held by np.where: the reference for its bits."""
+    L = np.array(L, dtype=float)
+    done = np.zeros(L.shape, dtype=bool)
+    for _ in range(_HALLEY_MAX):
+        em1 = np.expm1(L)
+        f = em1 + sigma * L - g
+        d1 = em1 + (1.0 + sigma)
+        step = 2.0 * f * d1 / (2.0 * d1 * d1 - f * (em1 + 1.0))
+        L -= np.where(done, 0.0, step)
+        done |= np.abs(step) <= 2.0 * EPS * (1.0 + np.abs(L))
+        if done.all():
+            break
+    if sigma < 0.0:
+        L -= (_expm1_tail_ref(L) - g) / np.expm1(L)
+    return float(L) if L.ndim == 0 else L
+
+
+def _same_bits(got, ref):
+    assert type(got) is type(ref)
+    assert np.shape(got) == np.shape(ref)
+    assert np.asarray(got).tobytes() == np.asarray(ref).tobytes()
+
+
+def test_halley_matches_reference_loop(monkeypatch):
+    rng = np.random.default_rng(2024)
+    g = np.concatenate([np.exp(-np.linspace(0.0, 700.0, 300)),
+                        np.logspace(-12.0, 300.0, 200), rng.uniform(0.0, 3.0, 200)])
+    p = np.sqrt(2.0 * np.minimum(g, 1.0))
+    c = 1.0 + g
+    with np.errstate(all="ignore"):
+        for sigma, guesses in (
+                # the W_0 and W_-1 sides of u - ln u = 1 + g, then v + ln v = 1 + g
+                (-1.0, (np.where(g <= 1.0, -p - p * p / 6.0, np.exp(-c) - c),
+                        np.where(g <= 1.0, p - p * p / 6.0, np.log(c + np.log(c))))),
+                (1.0, (np.log(1.0 + g - np.log1p(g)), 0.5 * g))):
+            for L0 in guesses:
+                ref = _halley_ref(L0, g, sigma)
+                _same_bits(_halley(L0, g, sigma), ref)
+                # mixed batches: points that start on their root converge at
+                # once, the rest later, and each keeps the bits it has alone
+                mixed = np.where(rng.random(g.size) < 0.5, ref, L0)
+                _same_bits(_halley(mixed, g, sigma), _halley_ref(mixed, g, sigma))
+                for k in rng.choice(g.size, 40, replace=False):
+                    one = (float(mixed[k]), float(g[k]), sigma)
+                    _same_bits(_halley(*one), _halley_ref(*one))
+                    _same_bits(_halley(mixed[k:k + 1], g[k:k + 1], sigma),
+                               _halley_ref(mixed[k:k + 1], g[k:k + 1], sigma))
+                # a batch of shape (2, n) against a scalar g
+                _same_bits(_halley(mixed[:40].reshape(2, 20), 0.5, sigma),
+                           _halley_ref(mixed[:40].reshape(2, 20), 0.5, sigma))
+        L = np.concatenate([rng.uniform(-3.0, 3.0, 300), [0.0, -0.0, 1.0, -1.0,
+                                                          math.inf, -math.inf, math.nan]])
+        _same_bits(_expm1_tail(L), _expm1_tail_ref(L))
+        for x in L.tolist():
+            _same_bits(_expm1_tail(x), float(_expm1_tail_ref(np.array(x))))
+        # the back-trace root through both: points at or past the contact
+        # (g0 <= 0) and roots clamped at the shock (s_upper)
+        g0 = np.concatenate([[0.0, -0.0, -1.0, -math.inf], 2.0 * g])
+        s_upper = rng.uniform(0.0, 5.0, g0.size)
+        got = [_curved_s(g0, 1.7, s_up) for s_up in (np.inf, s_upper, 0.25)]
+        got += [_curved_s(float(a), 1.7, 0.25) for a in g0[:50]]
+        monkeypatch.setattr(core, "_halley", _halley_ref)
+        ref = [_curved_s(g0, 1.7, s_up) for s_up in (np.inf, s_upper, 0.25)]
+        ref += [_curved_s(float(a), 1.7, 0.25) for a in g0[:50]]
+    assert (got[1][0] == s_upper).any() and got[0][1].any()
+    for (s, bad), (s_ref, bad_ref) in zip(got, ref):
+        assert s.tobytes() == s_ref.tobytes() and bad.tobytes() == bad_ref.tobytes()
 
 
 def test_curved_profile_independent_of_batch():

@@ -86,6 +86,22 @@ def test_sample_rejects_nan_x(case1):
     assert s.v_regular_vals.tolist() == [1.0, 1.0]
 
 
+def test_sample_takes_one_time(case1):
+    # a sequence of times is refused, not cut to its first entry
+    for t in ([1.0, 5.0], (1.0,), np.array([1.0, 5.0]), np.array([1.0])):
+        with pytest.raises(ValueError):
+            sample(case1, t, [0.0])
+        with pytest.raises(ValueError):
+            atoms_at(case1, t)
+    # one time of any real type is that time, held as a float
+    ref = sample(case1, 1.0, [0.0, 2.6])
+    for t in (1, np.float64(1.0), np.array(1.0), np.int64(1)):
+        s = sample(case1, t, [0.0, 2.6])
+        assert type(s.t) is float and s.t == 1.0
+        assert s.u_vals.tolist() == ref.u_vals.tolist()
+        assert s.atoms == ref.atoms == atoms_at(case1, t)
+
+
 def test_epoch_at_is_the_last_epoch_started(case1):
     t_merge = case1.events[0].t
     assert case1.epoch_at(0.0) is case1.epochs[0]
@@ -202,6 +218,17 @@ _SIGNED_ZEROS = Scenario(State(6.0, 1.0), State(3.0, -0.0), State(-0.0, 1.0),
                          offset=-1.0)
 
 
+def _row_queries(sol, ts, xs):
+    """Every row's x as given, shuffled with repeats, and with the event
+    points of its time, where the fronts born there coincide at the
+    epoch's start, and x = -inf and +inf."""
+    rng = np.random.default_rng(len(xs))
+    events = [ev.x for ev in sol.events]
+    extra = np.array([-math.inf, math.inf, *events])
+    shuffled = rng.permutation(np.concatenate([xs, xs[::7], extra]))
+    return [np.concatenate([xs, extra]), shuffled]
+
+
 @pytest.mark.parametrize("scenario", [
     *(pytest.param(sc, id=name) for name, sc in BATTERY.items()),
     pytest.param(_SIGNED_ZEROS, id="signed-zeros"),
@@ -220,3 +247,15 @@ def test_fields_match_per_point_reference(scenario):
     if scenario is _SIGNED_ZEROS:
         for vals in (u, v):
             assert np.any((vals == 0.0) & np.signbit(vals))
+    # the one-row path: each time alone, the event times among them, on
+    # shuffled and repeated x, the event points and +-inf
+    ts = np.unique(np.concatenate([ts, [ev.t for ev in sol.events]]))
+    for xq in _row_queries(sol, ts, xs):
+        grid_u, grid_v = fields(sol, ts, xq)
+        ref_u, ref_v = _fields_per_point(sol, ts, xq)
+        for j, t in enumerate(ts.tolist()):
+            row_u, row_v = fields(sol, [t], xq)
+            assert row_u.shape == row_v.shape == (1, len(xq))
+            for row, grid, ref in ((row_u, grid_u, ref_u), (row_v, grid_v, ref_v)):
+                assert row.dtype == float
+                assert row[0].tobytes() == grid[j].tobytes() == ref[j].tobytes()
