@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import groupby
 from typing import Callable, Optional
 
 import numpy as np
@@ -37,6 +38,7 @@ from .riemann import WaveCase, classify, rh_deficit
 _GL_CACHE: dict = {}
 _ORDER = 16        # Gauss points per panel of the weak and entropy pairings
 _MASS_ORDER = 20   # Gauss points per panel of the mass integrals
+_NODE_BLOCK = 8192  # most x nodes per block of a node piece (see ``_slabs``)
 
 
 def _gl(n: int):
@@ -244,15 +246,17 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
     Each region is clipped to [x_lo, x_hi] row by row.  With ``eps``, the
     strips of width eps on both sides of every atom front are pieces of their
     own, on which v is the atom spread evenly, alpha/(2 eps).  Yields
-    (rows, ends, x, wx, u, v) per piece, ``rows`` being the mask of its
-    non-empty rows.  A piece on which neither u nor v depends on x (ConstLaw
-    u and v, or a strip beside a ConstLaw u) is a flat row: ``ends`` holds
-    the per-row endpoints as a (2, rows) array, x and wx are None, u is a
-    float and v a float or a per-row array.  Every other piece has x nodes:
-    ``ends`` is None, x and wx are the nodes and weights
+    (rows, ends, x, wx, u, v) per piece, ``rows`` being the indices of its
+    non-empty rows in ``tn``.  A piece on which neither u nor v depends on x
+    (ConstLaw u and v, or a strip beside a ConstLaw u) is a flat row:
+    ``ends`` holds the per-row endpoints as a (2, rows) array, x and wx are
+    None, u is a float and v a float or a per-row array.  Every other piece
+    has x nodes: ``ends`` is None, x and wx are the nodes and weights
     (``panels(a, b, t, u_law)`` panels of ``order`` points, from the rows'
     ends a, b, times t and the region's u-law) and u and v are the fields at
-    the nodes.
+    the nodes.  A node piece is yielded in blocks of whole rows, each of at
+    most ``_NODE_BLOCK`` nodes unless one row alone has more, so the arrays
+    of a long run of time nodes stay small; a block changes no row's nodes.
     """
     nf = len(fronts)
     for k, rid in enumerate(ep.regions):
@@ -272,8 +276,8 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
         for a, b, owner in pieces:
             a = np.maximum(a, x_lo)
             b = np.minimum(b, x_hi)
-            rows = b - a > 0.0
-            if not np.any(rows):
+            rows = np.flatnonzero(b - a > 0.0)
+            if not len(rows):
                 continue
             a, b, t = a[rows], b[rows], tn[rows]
             if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
@@ -292,16 +296,21 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 locus = np.asarray(reg.v_law.singular_locus(t))
                 off = a - locus
                 off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
-            x, wx, dist = _x_nodes(a, b, panels(a, b, t, reg.u_law), order, off)
-            tt = t[:, None]
-            u = np.asarray(reg.u_law(x, tt))
-            if owner is not None:
-                v = np.asarray(owner.strength(t))[:, None] / (2.0 * eps)
-            elif dist is not None:
-                v = np.asarray(reg.v_law.from_distance(dist, tt))
-            else:
-                v = np.asarray(reg.v_law(x, tt))
-            yield rows, None, x, wx, u, v
+            n = panels(a, b, t, reg.u_law)
+            step = max(1, _NODE_BLOCK // (n * order))
+            for i in range(0, len(t), step):
+                blk = slice(i, i + step)
+                x, wx, dist = _x_nodes(a[blk], b[blk], n, order,
+                                       None if off is None else off[blk])
+                tt = t[blk, None]
+                u = np.asarray(reg.u_law(x, tt))
+                if owner is not None:
+                    v = np.asarray(owner.strength(t[blk]))[:, None] / (2.0 * eps)
+                elif dist is not None:
+                    v = np.asarray(reg.v_law.from_distance(dist, tt))
+                else:
+                    v = np.asarray(reg.v_law(x, tt))
+                yield rows[blk], None, x, wx, u, v
 
 
 def _panels_for(width, scale):
@@ -314,10 +323,15 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     plus the initial term int rho(u0, v0) phi(0, x) dx, where each of
     ``laws`` maps (u, v) to its component's (rho, f).
 
-    phi is the product of a t-factor and an x-factor, both evaluated once per
-    time cell or piece.  On a flat row (see ``_slabs``) the x-integrals of the
-    x-factor and its derivative are exact: sx [P(r_b) - P(r_a)] and
-    bump(r_b) - bump(r_a), with P the bump's antiderivative.
+    The time cells of one epoch are contiguous and make one group.  Each
+    cell keeps its own time panels, but the front positions, phi's t-factor,
+    the ``_slabs`` walk and the atom line integrals run once per group, on
+    the time nodes of all its cells; a node piece gets the x panels of its
+    widest row in the group.  phi is the product of the t-factor and an
+    x-factor, evaluated once per piece.  On a flat row (see ``_slabs``) the
+    x-integrals of the x-factor and its derivative are exact:
+    sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a), with P the bump's
+    antiderivative.
 
     The last component is v's and may carry the solution's delta atoms.  With
     ``atoms`` they enter as measures: per atom front the line integral of
@@ -332,11 +346,13 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     x_hi = phi.xc + phi.sx
     R = [0.0] * len(laws)
     cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi, eps) if t_hi > t_lo else []
-    for (a, b) in cells:
-        ep = sol.epoch_at(0.5 * (a + b))
-        xi, wxi = _composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
-        tn = a + (b - a) * xi
-        tw = (b - a) * wxi
+    for ep, group in groupby(cells, lambda c: sol.epoch_at(0.5 * (c[0] + c[1]))):
+        tn, tw = [], []
+        for a, b in group:
+            xi, wxi = _composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
+            tn.append(a + (b - a) * xi)
+            tw.append((b - a) * wxi)
+        tn, tw = np.concatenate(tn), np.concatenate(tw)
         rt = (tn - phi.tc) / phi.st
         bt = tw * phi._bump(rt)              # weights of the phi_x terms
         dbt = tw * phi._dbump(rt) / phi.st   # weights of the phi_t terms

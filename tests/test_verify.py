@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import ConstLaw, FieldLaw, State
+from deltashock.core import ConstLaw, FieldLaw, State, split_weight
 from deltashock.evaluate import atoms_at
 from deltashock.interact import fan_solution, run
 from deltashock import verify as V
@@ -87,6 +87,108 @@ def test_flat_rows_match_node_quadrature_mass(battery_pairs):
                        - V._mass_at(nodes, t, *window)) <= 1e-13
         assert abs(V.mass_balance(sol, window, times)
                    - V.mass_balance(nodes, window, times)) <= 1e-13
+
+
+def _per_cell_pairing(sol, phi, laws, eps=None, atoms=False):
+    """``verify._pairing`` one time cell at a time: every cell has its own
+    time nodes, front positions, ``_slabs`` walk and x panels."""
+    t_lo, t_hi = max(0.0, phi.tc - phi.st), phi.tc + phi.st
+    x_lo, x_hi = phi.xc - phi.sx, phi.xc + phi.sx
+    R = [0.0] * len(laws)
+    for a, b in V._time_cells(sol, t_lo, t_hi, x_lo, x_hi, eps):
+        ep = sol.epoch_at(0.5 * (a + b))
+        xi, wxi = V._composite01(max(4, V._panels_for(b - a, phi.st)), V._ORDER)
+        tn, tw = a + (b - a) * xi, (b - a) * wxi
+        bt = tw * phi._bump((tn - phi.tc) / phi.st)
+        dbt = tw * phi._dbump((tn - phi.tc) / phi.st) / phi.st
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        pos = [f.geom.pos(tn) for f in fronts]
+        for rows, ends, x, wx, u, v in V._slabs(
+                sol, ep, fronts, pos, tn, x_lo, x_hi,
+                lambda a, b, t, _: V._panels_for(float(np.max(b - a)), phi.sx),
+                V._ORDER, eps):
+            if x is None:   # exact x-integrals of the bump and its derivative
+                r = (ends - phi.xc) / phi.sx
+                ix = phi.sx * np.diff(phi._bump_integral(r), axis=0).T
+                jx = np.diff(phi._bump(r), axis=0).T
+                v = np.asarray(v, dtype=float)[..., None]
+            else:
+                r = (x - phi.xc) / phi.sx
+                ix, jx = wx * phi._bump(r), wx * phi._dbump(r) / phi.sx
+            for i, law in enumerate(laws):
+                rho, flux = law(u, v)
+                R[i] += float(np.dot(dbt[rows], np.sum(rho * ix, axis=1))
+                              + np.dot(bt[rows], np.sum(flux * jx, axis=1)))
+        for f, c in zip(fronts, pos):
+            if atoms and f.kind.carries_atom:
+                uL, uR = f.u_traces(tn)
+                alpha = f.strength(tn)
+                w0 = split_weight(uL, uR, np.asarray(f.geom.slope(tn)))
+                m = alpha * (w0 * (uL - 1.0) + (1.0 - w0) * (uR - 1.0))
+                rc = (c - phi.xc) / phi.sx
+                R[-1] += float(np.sum(dbt * alpha * phi._bump(rc)
+                                      + bt * m * phi._dbump(rc) / phi.sx))
+    if phi.tc - phi.st < 0.0:   # the initial term
+        ep = sol.epochs[0]
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        pos = [f.geom.pos(np.zeros(1)) for f in fronts]
+        b0 = float(phi._bump(-phi.tc / phi.st))
+        for _, ends, x, wx, u, v in V._slabs(sol, ep, fronts, pos, np.zeros(1),
+                                             x_lo, x_hi, lambda *_: 6, V._ORDER):
+            if x is None:
+                p = phi._bump_integral((ends - phi.xc) / phi.sx)
+                p0 = phi.sx * (p[1] - p[0])
+            else:
+                p0 = wx * phi._bump((x - phi.xc) / phi.sx)
+            for i, law in enumerate(laws):
+                R[i] += b0 * float(np.sum(law(u, v)[0] * p0))
+        for f, c in zip(fronts, pos):
+            if atoms and f.kind.carries_atom:
+                R[-1] += float(f.strength(0.0)) * float(phi.value(0.0, c[0]))
+    return R
+
+
+def test_epoch_groups_match_per_cell_pairing(battery_pairs):
+    # one pass per epoch changes the order of the sums and gives a node
+    # piece the x panels of its widest row in the group, nothing else
+    weak = (lambda u, v: (u, 0.5 * u * u), lambda u, v: (v, (u - 1.0) * v))
+    pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
+    entropy = (lambda u, v: (pair.eta(u, v), pair.q(u, v)),)
+    worst, multi, initial = 0.0, 0, 0
+    for sol, _ in battery_pairs.values():
+        for k, phi in enumerate(V.random_test_functions(sol, 200, seed=20240801)):
+            cells = V._time_cells(sol, max(0.0, phi.tc - phi.st),
+                                  phi.tc + phi.st, phi.xc - phi.sx,
+                                  phi.xc + phi.sx)
+            epochs = {id(sol.epoch_at(0.5 * (a + b))) for a, b in cells}
+            multi += len(cells) >= 5 and len(epochs) >= 2
+            initial += phi.tc - phi.st < 0.0
+            ref = _per_cell_pairing(sol, phi, weak, atoms=True)
+            got = V.weak_residual(sol, phi)
+            worst = max(worst, abs(got[0] - ref[0]), abs(got[1] - ref[1]))
+            if k < 20:
+                (ref,) = _per_cell_pairing(sol, phi, entropy, eps=1e-3)
+                assert V.entropy_residual(sol, pair, phi, eps=1e-3) == \
+                    pytest.approx(ref, rel=1e-9, abs=1e-9)
+    assert multi >= 100 and initial >= 100
+    assert worst <= 1e-13
+
+
+def test_node_blocks_stay_bounded(battery_pairs, monkeypatch):
+    # a node piece of a long epoch group is evaluated in row blocks
+    sizes = []
+    x_nodes = V._x_nodes
+
+    def record(*args):
+        out = x_nodes(*args)
+        sizes.append(out[0].size)
+        return out
+
+    monkeypatch.setattr(V, "_x_nodes", record)
+    for sol, _ in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 200, seed=20240801):
+            V.weak_residual(sol, phi)
+    assert sizes and max(sizes) <= V._NODE_BLOCK
 
 
 def test_random_test_functions_deterministic():
