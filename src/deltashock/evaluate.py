@@ -164,11 +164,11 @@ def atom_table(sol: Solution, ts) -> list:
     for f in sol.fronts.values():
         if f.strength is None:
             continue
-        k = [j for j, t in enumerate(tl) if f.alive_at(t)]
-        if k:
+        k = np.flatnonzero((ts >= f.birth) & (ts < f.death))   # Front.alive_at
+        if len(k):
             t = ts[k]
             cols = (f.geom.pos(t), *f.atom(t))
-            rows += zip(k, *(c.tolist() for c in cols), [f.fid] * len(k))
+            rows += zip(k.tolist(), *(c.tolist() for c in cols), [f.fid] * len(k))
     rows.sort(key=lambda r: r[:2])     # stable: ties keep front order
     table = [[] for _ in tl]
     for j, *atom in rows:

@@ -438,11 +438,6 @@ def weak_residual(sol: Solution, phi: TestFunction) -> tuple[float, float]:
     return ru, rv
 
 
-def weak_residual_rel(sol: Solution, phi: TestFunction) -> float:
-    ru, rv = weak_residual(sol, phi)
-    return max(abs(ru), abs(rv)) / phi.sup
-
-
 # ---------------------------------------------------------------------------
 # mass balance
 # ---------------------------------------------------------------------------

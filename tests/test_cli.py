@@ -221,6 +221,36 @@ def test_solve_outputs_deterministic(case1_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
+
+def test_emit_over_stale_files_matches_fresh(tmp_path):
+    """Re-emission rewrites each file in place: over stale files longer and
+    shorter than the output, and through a symlink, the bytes equal a fresh
+    emission and every file keeps its inode.  Without SVG output an earlier
+    diagram.svg is left as it was."""
+    sol = run(BATTERY["case4iia"])
+    fresh, out, target = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
+    names = [p.name for p in emit(sol, fresh, nx=41, nt=17)]
+    assert len(names) == 6
+    out.mkdir()
+    for k, name in enumerate(names):
+        size = (fresh / name).stat().st_size
+        stale = b"stale," * (size // 3 if k % 2 else size // 12)
+        if name == "u.csv":
+            target.write_bytes(stale)
+            (out / name).symlink_to(target)
+        else:
+            (out / name).write_bytes(stale)
+    inodes = [(out / name).stat().st_ino for name in names]
+    emit(sol, out, nx=41, nt=17)
+    for name in names:
+        assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+    assert (out / "u.csv").readlink() == target
+    assert target.read_bytes() == (fresh / "u.csv").read_bytes()
+    assert [(out / name).stat().st_ino for name in names] == inodes
+    (out / "diagram.svg").write_bytes(b"earlier run")
+    emit(sol, out, nx=41, nt=17, svg=False)
+    assert (out / "diagram.svg").read_bytes() == b"earlier run"
+
 def _reference_files(sol, nx, nt, window):
     """fronts.csv, u.csv, v.csv and atoms.csv as a per-point loop writes
     them: ``sample`` per time row, ``format(x, ".12g")`` per value."""
@@ -277,8 +307,21 @@ def test_grid_rows_runs_match_per_value_format():
         [3.0, 3.0, 1 / 3, 1 / 3, 1 / 3, -inf, inf, 2.5],  # t = last of row 1
     ])
     fmt = lambda x: format(x, ".12g")
-    expect = ["h"] + [",".join(fmt(x) for x in [ti, *row])
-                      for ti, row in zip(t.tolist(), vals.tolist())]
+
+    def reference(t, vals):
+        return ["h"] + [",".join(fmt(x) for x in [ti, *row])
+                        for ti, row in zip(t.tolist(), vals.tolist())]
+
+    expect = reference(t, vals)
     assert _grid_rows("h", t, vals) == expect
     assert expect[1] == "1,-0,0,0,-0,nan,nan,nan,1"
     assert expect[3] == "3,3,3,0.333333333333,0.333333333333,0.333333333333,-inf,inf,2.5"
+    for t, vals in [
+        ([0.5], [[0.5, 1.0, 1.0, -0.0]]),                 # one row
+        ([1.0, 2.0, 3.0], [[1.0], [0.0], [-inf]]),        # one column
+        ([1.0, 2.0], [[1.0, 1.0, 1.0], [2.0, 2.0, 2.0]]),  # one run per row
+        ([1.0, 2.0], [[0.0, 0.0, 7.0], [2.0, 2.0, -0.0]]),  # heads in the last column
+        ([2.5, 4.0], [[2.5, 2.5, 0.1], [-4.0, 4.0, 4.0]]),  # a run from t on
+    ]:
+        t, vals = np.array(t), np.array(vals)
+        assert _grid_rows("h", t, vals) == reference(t, vals), (t, vals)

@@ -22,7 +22,7 @@ from deltashock.verify import (
     fan_approx_oracle,
     mass_balance,
     overcompressibility_report,
-    weak_residual_rel,
+    weak_residual,
 )
 
 
@@ -299,7 +299,7 @@ def test_random_scenarios_terminate(case):
         if k % 30 == 0:
             ev_t = sol.events[-1].t if sol.events else 0.5
             phi = TestFunction(ev_t * 0.8 + 0.05, 0.0, ev_t * 0.4 + 0.05, 2.0)
-            assert weak_residual_rel(sol, phi) <= 1e-6
+            assert max(map(abs, weak_residual(sol, phi))) <= 1e-6
 
 
 def test_fan_spanning_2000_tracks_without_overflow():
