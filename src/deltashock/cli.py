@@ -12,7 +12,6 @@ import argparse
 import functools
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -143,34 +142,19 @@ def _grid_rows(head: str, t_grid, vals) -> list:
     ``format(x, ".12g")``, inf and -inf included.
 
     Each run of bitwise-equal neighbours in a row (a constant state) is
-    formatted once and its text repeated for the run's length.  Bits, not
-    values, decide a run, so -0.0 beside 0.0 still prints as -0 and 0;
-    column 0 always starts a run, so a run never crosses a row and the next
-    head in flat order ends it."""
+    formatted once, all runs in one ``%`` call, and its text repeated for
+    the run's length.  Bits, not values, decide a run, so -0.0 beside 0.0
+    still prints as -0 and 0; column 0 always starts a run, so a run never
+    crosses a row and the next head in flat order ends it."""
     grid = np.column_stack([t_grid, vals])
     bits = grid.view(np.int64)
     heads = np.ones(grid.shape, dtype=bool)
     heads[:, 1:] = bits[:, 1:] != bits[:, :-1]
     at = np.flatnonzero(heads)
-    runs = [("%.12g," % x) * n for x, n in
-            zip(grid.ravel()[at].tolist(), np.diff(at, append=grid.size).tolist())]
+    texts = ("%.12g,\0" * len(at) % tuple(grid.ravel()[at].tolist())).split("\0")
+    runs = list(map(str.__mul__, texts[:-1], np.diff(at, append=grid.size).tolist()))
     ends = np.cumsum(heads.sum(axis=1)).tolist()
     return [head] + ["".join(runs[a:b])[:-1] for a, b in zip([0] + ends, ends)]
-
-
-def _keep_contents(path, flags):
-    # the default opener without O_TRUNC: emptying a file on open makes
-    # ext4 (auto_da_alloc) flush its new blocks on close
-    return os.open(path, flags & ~os.O_TRUNC, 0o666)
-
-
-def _write(path: Path, text: str) -> None:
-    """Rewrite ``path`` in place with ``text``, as ``Path.write_text`` does
-    but cut to length after the write rather than emptied on open.  The
-    inode stays, so a symlink, hard links and permissions are kept."""
-    with open(path, "w", opener=_keep_contents) as fh:
-        fh.write(text)
-        fh.truncate()
 
 
 def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
@@ -203,7 +187,7 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
         ],
     }
     p = out / "events.json"
-    _write(p, json.dumps(ev_doc, indent=2, sort_keys=True) + "\n")
+    p.write_text(json.dumps(ev_doc, indent=2, sort_keys=True) + "\n")
     written.append(p)
 
     lines = ["front_id,kind,t,x,alpha,alpha0,alpha1"]
@@ -215,9 +199,10 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
         if f.strength is not None:
             cols, tail = cols + list(f.atom(ts)), ""
         row = f"{f.fid},{f.kind.value}," + ",".join(["%.12g"] * len(cols)) + tail
-        lines += [row % tuple(r) for r in np.column_stack(cols).tolist()]
+        lines.append("\n".join([row] * len(ts))
+                     % tuple(np.column_stack(cols).ravel().tolist()))
     p = out / "fronts.csv"
-    _write(p, "\n".join(lines) + "\n")
+    p.write_text("\n".join(lines) + "\n")
     written.append(p)
 
     head = "t," + ",".join(["%.12g"] * nx) % tuple(x_grid.tolist())
@@ -231,12 +216,12 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
                        ("v.csv", _grid_rows(head, t_grid, v)),
                        ("atoms.csv", atom_rows)):
         p = out / name
-        _write(p, "\n".join(rows) + "\n")
+        p.write_text("\n".join(rows) + "\n")
         written.append(p)
 
     if svg:
         p = out / "diagram.svg"
-        _write(p, render_svg(sol, window, t_max))
+        p.write_text(render_svg(sol, window, t_max))
         written.append(p)
     return written
 

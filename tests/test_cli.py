@@ -221,12 +221,11 @@ def test_solve_outputs_deterministic(case1_file, tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
 
-
 def test_emit_over_stale_files_matches_fresh(tmp_path):
-    """Re-emission rewrites each file in place: over stale files longer and
-    shorter than the output, and through a symlink, the bytes equal a fresh
-    emission and every file keeps its inode.  Without SVG output an earlier
-    diagram.svg is left as it was."""
+    """Re-emission over stale files longer and shorter than the output, and
+    through a symlink, gives the bytes of a fresh emission, and every file
+    keeps its inode.  Without SVG output an earlier diagram.svg is left as
+    it was."""
     sol = run(BATTERY["case4iia"])
     fresh, out, target = tmp_path / "fresh", tmp_path / "out", tmp_path / "elsewhere"
     names = [p.name for p in emit(sol, fresh, nx=41, nt=17)]
@@ -234,6 +233,9 @@ def test_emit_over_stale_files_matches_fresh(tmp_path):
     out.mkdir()
     for k, name in enumerate(names):
         size = (fresh / name).stat().st_size
+        # a stale file longer than the output is the case that catches a
+        # write which does not cut the file to length; the link, inode and
+        # svg=False checks pin what re-emission has always done
         stale = b"stale," * (size // 3 if k % 2 else size // 12)
         if name == "u.csv":
             target.write_bytes(stale)
@@ -250,6 +252,7 @@ def test_emit_over_stale_files_matches_fresh(tmp_path):
     (out / "diagram.svg").write_bytes(b"earlier run")
     emit(sol, out, nx=41, nt=17, svg=False)
     assert (out / "diagram.svg").read_bytes() == b"earlier run"
+
 
 def _reference_files(sol, nx, nt, window):
     """fronts.csv, u.csv, v.csv and atoms.csv as a per-point loop writes
