@@ -20,7 +20,6 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import (
-    AffineStrength,
     ConstLaw,
     FrontKind,
     INF,
@@ -41,14 +40,21 @@ _MASS_ORDER = 20   # Gauss points per panel of the mass integrals
 _NODE_BLOCK = 8192  # most x nodes per block of a node piece (see ``_slabs``)
 
 
+def _read_only(*arrays):
+    """The arrays, made read-only: every later call shares a cached one."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _gl(n: int):
     if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
+        _GL_CACHE[n] = _read_only(*np.polynomial.legendre.leggauss(n))
     return _GL_CACHE[n]
 
 
 def _composite01(panels: int, order: int):
-    """Composite Gauss-Legendre nodes/weights on (0, 1)."""
+    """Composite Gauss-Legendre nodes/weights on (0, 1), read-only."""
     key = ("c01", panels, order)
     if key not in _GL_CACHE:
         xg, wg = _gl(order)
@@ -57,7 +63,7 @@ def _composite01(panels: int, order: int):
         half = 0.5 * (edges[1:] - edges[:-1])
         pts = (mid[:, None] + half[:, None] * xg[None, :]).ravel()
         wts = (half[:, None] * wg[None, :]).ravel()
-        _GL_CACHE[key] = (pts, wts)
+        _GL_CACHE[key] = _read_only(pts, wts)
     return _GL_CACHE[key]
 
 
@@ -85,6 +91,13 @@ def _bump_antiderivative_coefs(n: int) -> tuple:
 
 
 _BUMP_ANTIDERIVATIVE = _bump_antiderivative_coefs(_BUMP_POW)
+
+
+def _bump_base(r):
+    """max(1 - r^2, 0) for an array r, built in one new array."""
+    s = r * r
+    np.subtract(1.0, s, out=s)
+    return np.maximum(s, 0.0, out=s)
 
 
 @dataclass(frozen=True)
@@ -117,14 +130,19 @@ class TestFunction:
         return -2.0 * _BUMP_POW * r * s ** (_BUMP_POW - 1)
 
     @staticmethod
-    def _bump_integral(r):
-        """P(r) = int_0^r bump; constant outside [-1, 1]."""
-        r = np.minimum(np.maximum(np.asarray(r, dtype=float), -1.0), 1.0)
-        s = 1.0 - r * r
-        p = _BUMP_ANTIDERIVATIVE[-1]
-        for c in _BUMP_ANTIDERIVATIVE[-2::-1]:
-            p = p * s + c
-        return r * p
+    def _bump_integral(r, s=None):
+        """P(r) = int_0^r bump; constant outside [-1, 1].  A caller that
+        has clipped r to [-1, 1] passes s = 1 - r^2 along."""
+        if s is None:
+            r = np.minimum(np.maximum(np.asarray(r, dtype=float), -1.0), 1.0)
+            s = 1.0 - r * r
+        p = s * _BUMP_ANTIDERIVATIVE[-1]
+        for c in _BUMP_ANTIDERIVATIVE[-2:0:-1]:
+            p += c
+            p *= s
+        p += _BUMP_ANTIDERIVATIVE[0]
+        p *= r
+        return p
 
     def value(self, t, x):
         return (self._bump((np.asarray(t) - self.tc) / self.st)
@@ -328,17 +346,22 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     the ``_slabs`` walk and the atom line integrals run once per group, on
     the time nodes of all its cells; a node piece gets the x panels of its
     widest row in the group.  phi is the product of the t-factor and an
-    x-factor, evaluated once per piece.  On a flat row (see ``_slabs``) the
-    x-integrals of the x-factor and its derivative are exact:
-    sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a), with P the bump's
-    antiderivative.
+    x-factor, evaluated once per piece.  Each factor and its derivative
+    come from one s = 1 - r^2, built in place.  On a flat row (see
+    ``_slabs``) the x-integrals of the x-factor and its derivative are
+    exact: sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a), with P the
+    bump's antiderivative, both from one s of the ends clipped to [-1, 1].
 
     The last component is v's and may carry the solution's delta atoms.  With
     ``atoms`` they enter as measures: per atom front the line integral of
     alpha phi_t + m phi_x with the split-product flux
     m = alpha0 (uL-1) + alpha1 (uR-1), and the initial atoms in the initial
-    term.  With ``eps`` they are spread over strips beside their fronts (see
-    ``_slabs``).  With neither, an atom front inside the support is an error.
+    term.  A group integrates a front's line integral only if the bump's
+    x-factor is nonzero at some of its time nodes; otherwise the integrand
+    is exactly zero, and the front's traces, strength and split are never
+    evaluated.  With ``eps`` the atoms are spread over strips beside their
+    fronts (see ``_slabs``).  With neither, an atom front inside the
+    support is an error.
     """
     t_lo = max(0.0, phi.tc - phi.st)
     t_hi = phi.tc + phi.st
@@ -353,9 +376,16 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             tn.append(a + (b - a) * xi)
             tw.append((b - a) * wxi)
         tn, tw = np.concatenate(tn), np.concatenate(tw)
-        rt = (tn - phi.tc) / phi.st
-        bt = tw * phi._bump(rt)              # weights of the phi_x terms
-        dbt = tw * phi._dbump(rt) / phi.st   # weights of the phi_t terms
+        rt = tn - phi.tc
+        rt /= phi.st
+        s = _bump_base(rt)
+        bt = s ** _BUMP_POW                  # weights of the phi_x terms
+        bt *= tw
+        rt *= -2.0 * _BUMP_POW               # weights of the phi_t terms
+        dbt = s ** (_BUMP_POW - 1)
+        dbt *= rt
+        dbt *= tw
+        dbt /= phi.st
         fronts = [sol.fronts[f] for f in ep.fronts]
         pos = [f.geom.pos(tn) for f in fronts]
         if eps is None and not atoms and any(
@@ -369,20 +399,30 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                 _ORDER, eps):
             bt_r, dbt_r = bt[rows], dbt[rows]
             if x is None:
-                r = (ends - phi.xc) / phi.sx
-                p = phi._bump_integral(r)
-                q = phi._bump(r)
+                r = ends - phi.xc
+                r /= phi.sx
+                np.maximum(r, -1.0, out=r)
+                np.minimum(r, 1.0, out=r)
+                s = r * r
+                np.subtract(1.0, s, out=s)
+                p = phi._bump_integral(r, s)
+                q = s ** _BUMP_POW
                 ix = phi.sx * (p[1] - p[0])
                 jx = q[1] - q[0]
                 for i, law in enumerate(laws):
                     rho, flux = law(u, v)
                     R[i] += float(np.dot(dbt_r, rho * ix) + np.dot(bt_r, flux * jx))
                 continue
-            r = (x - phi.xc) / phi.sx
-            s = np.maximum(1.0 - r * r, 0.0)
+            r = x - phi.xc
+            r /= phi.sx
+            s = _bump_base(r)
             s7 = s ** (_BUMP_POW - 1)
-            bx = wx * (s7 * s)
-            dbx = wx * ((-2.0 * _BUMP_POW / phi.sx) * r * s7)
+            bx = s7 * s
+            bx *= wx
+            dbx = r                              # r is scaled in place
+            dbx *= -2.0 * _BUMP_POW / phi.sx
+            dbx *= s7
+            dbx *= wx
             for i, law in enumerate(laws):
                 rho, flux = law(u, v)
                 R[i] += float(np.dot(dbt_r, np.sum(rho * bx, axis=1))
@@ -391,14 +431,19 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             for f, c in zip(fronts, pos):
                 if not f.kind.carries_atom:
                     continue
+                rc = c - phi.xc
+                rc /= phi.sx
+                s = _bump_base(rc)
+                if not np.any(s > 0.0):
+                    continue  # the front stays outside the support
                 uL, uR = f.u_traces(tn)
                 alpha = f.strength(tn)
                 w0 = split_weight(uL, uR, np.asarray(f.geom.slope(tn)))
                 m = (alpha * w0 * (uL - 1.0)
                      + alpha * (1.0 - w0) * (uR - 1.0))
-                rc = (c - phi.xc) / phi.sx
-                R[-1] += float(np.sum(dbt * alpha * phi._bump(rc)
-                                      + bt * m * phi._dbump(rc) / phi.sx))
+                db = -2.0 * _BUMP_POW * rc * s ** (_BUMP_POW - 1)
+                R[-1] += float(np.sum(dbt * alpha * s ** _BUMP_POW
+                                      + bt * m * db / phi.sx))
     if phi.tc - phi.st < 0.0 < t_hi:
         init = [0.0] * len(laws)
         ep = sol.epochs[0]
@@ -527,50 +572,6 @@ def overcompressibility_report(sol: Solution, samples: int = 200,
     return out
 
 
-def delta_contact_slope_error(sol: Solution, samples: int = 100) -> float:
-    """Max deviation of delta-contact speeds from the local lambda1 = u - 1."""
-    worst = 0.0
-    for f in sol.fronts.values():
-        if f.kind is not FrontKind.DELTA_CONTACT:
-            continue
-        t1 = min(f.death, max(sol.t_max_computed, f.birth * 2.0 + 1.0))
-        ts = f.birth + (t1 - f.birth) * np.linspace(1e-6, 1.0 - 1e-9, samples)
-        u_left, u_right = f.u_traces(ts)
-        lam = 0.5 * (u_left + u_right) - 1.0
-        worst = max(worst, float(np.max(np.abs(np.asarray(f.geom.slope(ts)) - lam))))
-    return worst
-
-
-def bifurcation_ordering_gap(sol: Solution, t_factor: float = 100.0,
-                             samples: int = 200):
-    """Min of (shock - contact) positions over (t_s, t_factor * t_s] after a
-    bifurcation; positive means the delta contact stays strictly below."""
-    ev = next((e for e in sol.events if e.rule == "BreakdownBifurcation"), None)
-    if ev is None:
-        return None
-    dc = next(sol.fronts[f] for f in ev.outgoing
-              if sol.fronts[f].kind is FrontKind.DELTA_CONTACT)
-    sh = next(sol.fronts[f] for f in ev.outgoing
-              if sol.fronts[f].kind is FrontKind.SHOCK)
-    # start slightly inside the open interval: at t_s the curves touch by
-    # construction and the positive gap grows like (t - t_s)^2
-    ts = ev.t * np.logspace(math.log10(1.0 + 1e-6), math.log10(t_factor), samples)
-    gap = np.asarray(sh.geom.pos(ts)) - np.asarray(dc.geom.pos(ts))
-    return float(np.min(gap))
-
-
-def perturb_strength_rate(sol: Solution, fid: int, ds: float) -> Solution:
-    """Copy of the solution with one affine strength slope shifted by ds
-    (a deliberately wrong solution the residual oracle must flag)."""
-    f = sol.fronts[fid]
-    if not isinstance(f.strength, AffineStrength):
-        raise ValueError("only affine strength laws can be perturbed")
-    law = AffineStrength(f.strength.s + ds, f.strength.gamma, f.strength.t_ref)
-    fronts = dict(sol.fronts)
-    fronts[fid] = replace(f, strength=law)
-    return replace(sol, fronts=fronts)
-
-
 # ---------------------------------------------------------------------------
 # entropy pairs
 # ---------------------------------------------------------------------------
@@ -625,20 +626,6 @@ def polynomial_pair(f_coeffs, g_coeffs) -> EntropyPair:
         return np.polynomial.polynomial.polyval(np.asarray(u, float), ft)
 
     return EntropyPair(f, g, ftilde)
-
-
-def entropy_compat_error(pair: EntropyPair, us, vs, h: float = 1e-5) -> float:
-    """Finite-difference check of q' = eta' . (flux Jacobian):
-    dq/du = u eta_u + v eta_v and dq/dv = (u-1) eta_v."""
-    us = np.asarray(us, dtype=float)
-    vs = np.asarray(vs, dtype=float)
-    qu = (pair.q(us + h, vs) - pair.q(us - h, vs)) / (2.0 * h)
-    qv = (pair.q(us, vs + h) - pair.q(us, vs - h)) / (2.0 * h)
-    eu = (pair.eta(us + h, vs) - pair.eta(us - h, vs)) / (2.0 * h)
-    ev = (pair.eta(us, vs + h) - pair.eta(us, vs - h)) / (2.0 * h)
-    e1 = np.abs(qu - (us * eu + vs * ev))
-    e2 = np.abs(qv - (us - 1.0) * ev)
-    return float(max(np.max(e1), np.max(e2)))
 
 
 def entropy_residual(sol: Solution, pair: EntropyPair, phi: TestFunction,

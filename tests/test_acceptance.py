@@ -12,6 +12,8 @@ from deltashock.cli import emit
 from deltashock.core import FrontKind, State
 from deltashock.interact import fan_solution, run
 from deltashock import verify as V
+from solution_checks import (bifurcation_ordering_gap, entropy_compat_error,
+                             perturb_strength_rate)
 
 SEED = 20240801
 
@@ -104,7 +106,7 @@ def test_criterion_4_ordering_inequality(solutions):
              if any(e.rule == "BreakdownBifurcation" for e in s.events)]
     worst = math.inf
     for name in names:
-        gap = V.bifurcation_ordering_gap(solutions[name], t_factor=100.0)
+        gap = bifurcation_ordering_gap(solutions[name], t_factor=100.0)
         assert gap is not None and gap > 0.0
         worst = min(worst, gap)
     assert {"case4iia", "case4iib", "case4iic",
@@ -146,7 +148,7 @@ def test_criterion_7_perturbation_sensitivity(solutions):
     for name in ("case1", "case2", "case3"):
         sol = solutions[name]
         fid = sol.events[-1].outgoing[0]
-        bad = V.perturb_strength_rate(sol, fid, 0.1)
+        bad = perturb_strength_rate(sol, fid, 0.1)
         f = bad.fronts[fid]
         t_c = f.birth + 0.45
         phi = V.TestFunction(t_c, f.geom.pos(t_c), 0.4, 1.0)
@@ -181,7 +183,7 @@ def test_criterion_8_entropy_checks(solutions):
         pair = V.polynomial_pair(fc, gc)
         us = rng.uniform(-2, 2, 40)
         vs = rng.uniform(-2, 2, 40)
-        worst = max(worst, V.entropy_compat_error(pair, us, vs))
+        worst = max(worst, entropy_compat_error(pair, us, vs))
     assert worst <= 1e-6
     _report(8, f"smooth-region {smooth:.1e} (tol 1e-8); delta-contact "
                f"residual linear in eps ({rs[0]:.2e} -> {rs[2]:.2e}); "

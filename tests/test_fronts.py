@@ -281,7 +281,7 @@ def test_overcompressibility_sign_change_at_breakdown():
 
 
 def test_bifurcation_ordering_gap():
-    from deltashock.verify import bifurcation_ordering_gap
+    from solution_checks import bifurcation_ordering_gap
     for name in ("case4iia", "case4iib", "case4iic",
                  "case5_bif_left", "case5_bif_mid"):
         gap = bifurcation_ordering_gap(run(BATTERY[name]))

@@ -18,12 +18,12 @@ from deltashock.verify import (
     TestFunction,
     _mass_at,
     auto_window,
-    delta_contact_slope_error,
     fan_approx_oracle,
     mass_balance,
     overcompressibility_report,
     weak_residual,
 )
+from solution_checks import delta_contact_slope_error
 
 
 def sc(u0, u1, u2, offset, v=(1.0, 1.0, 1.0)):

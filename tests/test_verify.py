@@ -1,4 +1,5 @@
 from dataclasses import replace
+from itertools import groupby
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from deltashock.core import ConstLaw, FieldLaw, State, split_weight
 from deltashock.evaluate import atoms_at
 from deltashock.interact import fan_solution, run
 from deltashock import verify as V
+from solution_checks import entropy_compat_error, perturb_strength_rate
 
 
 def test_testfunction_derivatives_match_fd():
@@ -191,6 +193,78 @@ def test_node_blocks_stay_bounded(battery_pairs, monkeypatch):
     assert sizes and max(sizes) <= V._NODE_BLOCK
 
 
+def _atom_fronts_met(sol, phi):
+    """Per (epoch group, atom front) pair of ``phi``'s weak pairing, whether
+    the bump's x-factor is nonzero at some time node of the group."""
+    cells = V._time_cells(sol, max(0.0, phi.tc - phi.st), phi.tc + phi.st,
+                          phi.xc - phi.sx, phi.xc + phi.sx)
+    met = []
+    for ep, group in groupby(cells, lambda c: sol.epoch_at(0.5 * (c[0] + c[1]))):
+        tn = np.concatenate([a + (b - a) * V._composite01(
+            max(4, V._panels_for(b - a, phi.st)), V._ORDER)[0] for a, b in group])
+        for f in (sol.fronts[fid] for fid in ep.fronts):
+            if f.kind.carries_atom:
+                rc = (f.geom.pos(tn) - phi.xc) / phi.sx
+                met.append(bool(np.any(1.0 - rc * rc > 0.0)))
+    return met
+
+
+def _count_split_weight(monkeypatch):
+    calls = []
+
+    def count(*args):
+        calls.append(1)
+        return split_weight(*args)
+
+    monkeypatch.setattr(V, "split_weight", count)
+    return calls
+
+
+def test_atom_fronts_outside_the_support_are_skipped(battery_pairs, monkeypatch):
+    # a group evaluates an atom front's traces, strength and split only when
+    # the front meets the support at some time node
+    calls = _count_split_weight(monkeypatch)
+    met = []
+    for sol, _ in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 200, seed=20240801):
+            met += _atom_fronts_met(sol, phi)
+            V.weak_residual(sol, phi)
+    assert len(calls) == sum(met)
+    assert 0.3 <= met.count(False) / len(met) <= 0.6
+
+
+@pytest.mark.parametrize("left, right, kept", [
+    (State(4, 1), State(0, 1), 1),    # x = 2t enters the support at t = tc
+    (State(2, 1), State(-2, 1), 0),   # x = 0 runs along its left edge
+], ids=["entering", "along_edge"])
+def test_atom_front_at_the_support_edge(left, right, kept, monkeypatch):
+    # the delta line passes through (tc, xc - sx), where the bump's x-factor
+    # vanishes; the skip must agree with a pairing that always integrates
+    sol = fan_solution(left, right)
+    (front,) = sol.fronts.values()
+    tc, st, sx = 0.5, 0.3, 0.5
+    phi = V.TestFunction(tc, float(front.geom.pos(tc)) + sx, st, sx)
+    weak = (lambda u, v: (u, 0.5 * u * u), lambda u, v: (v, (u - 1.0) * v))
+    ref = _per_cell_pairing(sol, phi, weak, atoms=True)
+    calls = _count_split_weight(monkeypatch)
+    got = V.weak_residual(sol, phi)
+    assert len(calls) == kept == sum(_atom_fronts_met(sol, phi))
+    assert got == pytest.approx(ref, rel=1e-13, abs=1e-13)
+
+
+def test_quadrature_cache_is_read_only(battery_pairs):
+    # every call shares the cached nodes and weights; the pairings scale
+    # their own copies in place, never these
+    for sol, _ in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 20, seed=20240801):
+            assert all(np.isfinite(V.weak_residual(sol, phi)))
+    assert len(V._GL_CACHE) >= 2
+    for arrays in V._GL_CACHE.values():
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a *= 2.0
+
+
 def test_random_test_functions_deterministic():
     sol = run(BATTERY["case1"])
     a = V.random_test_functions(sol, 10, seed=7)
@@ -214,7 +288,7 @@ def test_pure_delta_riemann_residual():
 def test_residual_detects_wrong_strength_slope():
     sol = run(BATTERY["case1"])
     fid = sol.events[0].outgoing[0]
-    bad = V.perturb_strength_rate(sol, fid, 0.1)
+    bad = perturb_strength_rate(sol, fid, 0.1)
     x_on = bad.fronts[fid].geom.pos(0.8)
     phi = V.TestFunction(0.8, x_on, 0.4, 1.0)
     _, rv = V.weak_residual(bad, phi)
@@ -375,5 +449,5 @@ def test_entropy_compat_random_polynomials():
         pair = V.polynomial_pair(fc, gc)
         us = rng.uniform(-2, 2, 40)
         vs = rng.uniform(-2, 2, 40)
-        worst = max(worst, V.entropy_compat_error(pair, us, vs))
+        worst = max(worst, entropy_compat_error(pair, us, vs))
     assert worst <= 1e-6
