@@ -262,7 +262,7 @@ def render_svg(sol: Solution, window, t_max: float,
         ts = _front_times(f, t_max, n=256)
         if ts is None:
             continue
-        xs = np.asarray(f.geom.pos(ts))
+        xs = f.geom.pos(ts)
         keep = (xs >= x0 - 0.02 * (x1 - x0)) & (xs <= x1 + 0.02 * (x1 - x0))
         if not np.any(keep):
             continue

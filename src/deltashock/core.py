@@ -8,14 +8,19 @@ laws for delta atoms, closed-form field laws for regions, and the event-graph
 
 Float/array contract.  The geometries (``Line``, ``SqrtCurve``,
 ``LogCurve``), the strength laws, the point laws ``ConstLaw``, ``FanU`` and
-``FanExpV``, ``split_weight`` and ``Front.u_traces``/``Front.atom`` take a
-time (and position) either as a float, and then return a Python float
-computed in plain float arithmetic, or as an array, and then return an
-array; a 0-d array counts as a float.  One expression serves both, with
-bit-identical results: Python and numpy round +, -, *, / and sqrt alike,
-but not exp, log and expm1, which therefore stay numpy ufuncs on a float
-too.  A float raises nowhere the array path returns a value: a negative
-sqrt argument gives nan and a zero divisor numpy's signed inf or nan.
+``FanExpV``, the post-breakdown profiles ``WStraightV``, ``WCurvedV`` and
+``WTildeCurvedV`` (value, ``from_distance`` and ``singular_locus``), their
+back-trace root ``_curved_s`` with its Halley iteration ``_halley``,
+``split_weight`` and ``Front.u_traces``/``Front.atom`` take a time (and
+position) either as a float, and then return a Python float computed in
+plain float arithmetic, or as an array, and then return an array; a 0-d
+array counts as a float.  One expression serves both, with bit-identical
+results: Python and numpy round +, -, *, / and sqrt alike, but not exp,
+log and expm1, which therefore stay numpy ufuncs on a float too.  A float
+raises nowhere the array path returns a value: a negative sqrt argument
+gives nan and a zero divisor numpy's signed inf or nan.  Augmented
+assignment (``x += y``) updates a fresh array in place and rebinds a float,
+so the longer expressions allocate little on arrays.
 """
 
 from __future__ import annotations
@@ -32,11 +37,6 @@ import numpy as np
 INF = math.inf
 _EPS = float(np.finfo(float).eps)
 _EPOCH_START = attrgetter("t0")  # the bisection key of Solution.epoch_at
-
-
-def _returns_like(t, values):
-    """Return a float if the array ``t`` is 0-d, else the ndarray ``values``."""
-    return float(values) if t.ndim == 0 else values
 
 
 # -- the float/array contract (see the module docstring) ---------------------
@@ -353,24 +353,21 @@ class WStraightV(FieldLaw):
 
     def singular_locus(self, t):
         """Position of the carrying delta contact (blow-up curve)."""
-        return (self.u0 - 1.0) * np.asarray(t, dtype=float) + self.y_edge
+        return (self.u0 - 1.0) * _arg(t) + self.y_edge
 
     def from_distance(self, d, t):
         """Evaluate from the exact distance d > 0 past the delta contact
         (cancellation-free path used by graded quadrature)."""
-        r = np.sqrt(np.asarray(d, dtype=float))
-        return (1.0 + 2.0 * self.B / r) * self.v_ref * np.exp(
-            self.u0 - 2.0 * self.B / (self.B + r) - self.u_ref)
+        r = _sqrt(_arg(d))
+        return (1.0 + _div(2.0 * self.B, r)) * self.v_ref * _np(
+            np.exp, self.u0 - _div(2.0 * self.B, self.B + r) - self.u_ref)
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        d = np.asarray(x - (self.u0 - 1.0) * t - self.y_edge, dtype=float)
-        scale = 1.0 + np.abs(x) + np.abs((self.u0 - 1.0) * t)
-        bad = d <= _MARKER_TOL * scale
-        val = self.from_distance(np.where(bad, 1.0, d), t)
-        val = np.where(bad, math.copysign(INF, self.v_ref), val)
-        return _returns_like(x, val)
+        x, ut = _arg(x), (self.u0 - 1.0) * _arg(t)
+        d = x - ut - self.y_edge
+        bad = d <= _MARKER_TOL * (1.0 + abs(x) + abs(ut))
+        val = self.from_distance(_where(bad, 1.0, d), t)
+        return _where(bad, math.copysign(INF, self.v_ref), val)
 
 
 _HALLEY_MAX = 8  # safety cap; from the callers' guesses 4 steps reach full precision
@@ -380,41 +377,17 @@ _TAIL_COEF = tuple(1.0 / math.factorial(k) for k in range(20, 1, -1))
 
 def _expm1_tail(L):
     """e^L - 1 - L, as its Taylor series for |L| < 1, where expm1(L) - L
-    cancels; a float gives a float."""
-    if isinstance(L, float):
-        if not abs(L) < 1.0:
-            return _np(np.expm1, L) - L
-        series = _TAIL_COEF[0]
-        for c in _TAIL_COEF[1:]:
-            series = series * L + c
-        return series * L * L
-    small = np.abs(L) < 1.0
-    Ls = np.where(small, L, 0.0)
-    # Horner in place; its first step, 0 Ls + 1/20!, is 1/20! exactly
-    series = np.full_like(Ls, _TAIL_COEF[0])
+    cancels."""
+    small = abs(L) < 1.0
+    Ls = _where(small, L, 0.0)
+    # Horner, in place on an array; its first step, 0 Ls + 1/20!, is 1/20!
+    series = _const(Ls, _TAIL_COEF[0])
     for c in _TAIL_COEF[1:]:
         series *= Ls
         series += c
     series *= Ls
     series *= Ls
-    out = np.expm1(L) - L
-    np.copyto(out, series, where=small)
-    return out
-
-
-def _halley_one(L: float, g: float, sigma: float) -> float:
-    """``_halley`` on one value, in float arithmetic."""
-    for _ in range(_HALLEY_MAX):
-        em1 = _np(np.expm1, L)
-        f = em1 + sigma * L - g
-        d1 = em1 + (1.0 + sigma)
-        step = _div(2.0 * f * d1, 2.0 * d1 * d1 - f * (em1 + 1.0))
-        L -= step
-        if abs(step) <= 2.0 * _EPS * (1.0 + abs(L)):
-            break
-    if sigma < 0.0:
-        L -= _div(_expm1_tail(L) - g, _np(np.expm1, L))
-    return L
+    return _where(small, series, _np(np.expm1, L) - L)
 
 
 def _halley(L, g, sigma: float):
@@ -425,52 +398,37 @@ def _halley(L, g, sigma: float):
     leaves the iteration about eps/sqrt(2g) relative error; one Newton step
     on its series (``_expm1_tail``) restores full precision.  A point stops
     moving once its step is below rounding, so its value does not depend on
-    the rest of the batch.  One value is iterated in floats (a float in,
-    a float out), several in place on one flat array; either way each
-    operation is the one of the expression L -= 2 f d1 / (2 d1 d1 - f
-    (em1 + 1)), f = em1 + sigma L - g, d1 = em1 + 1 + sigma,
-    em1 = e^L - 1, in the same order, so an element's bits do not depend
-    on the path.
+    the rest of the batch.  Each step is L -= 2 f d1 / (2 d1 d1 - f
+    (em1 + 1)), f = em1 + sigma L - g, d1 = em1 + 1 + sigma, em1 = e^L - 1.
     """
-    shape = np.shape(L)
-    L = np.array(L, dtype=float).reshape(-1)
-    g = np.reshape(g, -1)
-    if L.size == 1:
-        root = _halley_one(float(L[0]), float(g[0]), sigma)
-        return root if shape == () else np.full(shape, root)
-    em1, f, d1, step, den = np.empty((5, L.size))
-    done, now = np.zeros((2, L.size), dtype=bool)
+    L = _arg(L) * 1.0            # a copy, with the sign of a zero kept
+    done = False
     for _ in range(_HALLEY_MAX):
-        np.expm1(L, out=em1)
-        np.multiply(L, sigma, out=f)
+        em1 = _np(np.expm1, L)
+        f = L * sigma
         f += em1
         f -= g
-        np.add(em1, 1.0 + sigma, out=d1)
-        np.multiply(f, 2.0, out=step)
+        d1 = em1 + (1.0 + sigma)
+        step = f * 2.0
         step *= d1
-        np.multiply(d1, 2.0, out=den)
+        den = d1 * 2.0
         den *= d1
         em1 += 1.0
         em1 *= f
         den -= em1
-        step /= den
-        np.copyto(step, 0.0, where=done)
+        step = _where(done, 0.0, _div(step, den))
         L -= step
-        # done once |step| <= 2 eps (1 + |L|)
-        np.abs(L, out=em1)
-        em1 += 1.0
-        em1 *= 2.0 * _EPS
-        np.abs(step, out=step)
-        np.less_equal(step, em1, out=now)
-        done |= now
-        if done.all():
+        tol = abs(L)                # done once |step| <= 2 eps (1 + |L|)
+        tol += 1.0
+        tol *= 2.0 * _EPS
+        done |= abs(step) <= tol
+        if done if isinstance(done, bool) else done.all():
             break
     if sigma < 0.0:
         step = _expm1_tail(L)
         step -= g
-        step /= np.expm1(L, out=em1)
-        L -= step
-    return L.reshape(shape)
+        L -= _div(step, _np(np.expm1, L))
+    return L
 
 
 def _curved_s(g0, B, s_upper):
@@ -484,24 +442,25 @@ def _curved_s(g0, B, s_upper):
     branch-point series for small g0 and the asymptote L ~ e^-c - c,
     c = 1 + g0/2, for large.  Roots past ``s_upper`` (points beyond the
     shock) are clamped to it; g0 <= 0 marks points at or past the delta
-    contact.
+    contact, where s is 1.
     """
-    g = 0.5 * np.asarray(g0, dtype=float)
+    g = 0.5 * _arg(g0)
     bad = g <= 0.0
-    g = np.where(bad, 1.0, g)
-    p = np.sqrt(2.0 * np.minimum(g, 1.0))
+    g = _where(bad, 1.0, g)
+    near = g <= 1.0
+    p = _sqrt(2.0 * _where(near, g, 1.0))
     c = 1.0 + g
-    L = _halley(np.where(g <= 1.0, -p - p * p / 6.0, np.exp(-c) - c), g, -1.0)
-    L = np.maximum(L, -np.log1p(np.asarray(s_upper, dtype=float) / B))
-    return np.where(bad, 1.0, B * np.expm1(-L)), bad
+    L = _halley(_where(near, -p - p * p / 6.0, _np(np.exp, -c) - c), g, -1.0)
+    L = _np(np.maximum, L, -_np(np.log1p, s_upper / B))
+    return _where(bad, 1.0, B * _np(np.expm1, -L)), bad
 
 
 def _curved_value(g0, t, B, v2, s_upper):
     """Profile value v2 (2B + s)(B + s)^2 / (s t) at back-trace root s."""
     s, bad = _curved_s(g0, B, s_upper)
-    sp = np.where(bad, 1.0, s)
-    val = v2 * (2.0 * B + sp) * (B + sp) ** 2 / (sp * np.asarray(t, dtype=float))
-    return np.where(bad, math.copysign(INF, v2), val)
+    q = B + s
+    val = _div(v2 * (2.0 * B + s) * (q * q), s * t)
+    return _where(bad, math.copysign(INF, v2), val)
 
 
 @dataclass(frozen=True)
@@ -523,23 +482,18 @@ class WCurvedV(FieldLaw):
     singular_left = True
 
     def singular_locus(self, t):
-        ts = self.B * self.B
-        t = np.asarray(t, dtype=float)
-        return t * (self.u2 + 2.0 + np.log(ts) - np.log(t))
+        t = _arg(t)
+        return t * (self.u2 + 2.0 + _np(np.log, self.B * self.B) - _np(np.log, t))
 
     def from_distance(self, d, t):
-        t = np.asarray(t, dtype=float)
-        g0 = np.asarray(d, dtype=float) / t
-        return _curved_value(g0, t, self.B, self.v2, np.sqrt(t) - self.B)
+        t = _arg(t)
+        return _curved_value(_div(_arg(d), t), t, self.B, self.v2, _sqrt(t) - self.B)
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
+        x, t = _arg(x), _arg(t)
         d = x - self.singular_locus(t)
-        scale = 1.0 + np.abs(x)
-        g0 = np.where(d <= _MARKER_TOL * scale, -1.0, d) / t
-        val = _curved_value(g0, t, self.B, self.v2, np.sqrt(t) - self.B)
-        return _returns_like(x, val)
+        bad = d <= _MARKER_TOL * (1.0 + abs(x))
+        return self.from_distance(_where(bad, -1.0, d), t)
 
 
 @dataclass(frozen=True)
@@ -564,23 +518,22 @@ class WTildeCurvedV(FieldLaw):
 
     def singular_locus(self, t):
         # the continued contact line of slope u0 - 1 through (t_exit, u0 t_exit)
-        return self.t_exit + (self.u0 - 1.0) * np.asarray(t, dtype=float)
+        return self.t_exit + (self.u0 - 1.0) * _arg(t)
 
     def from_distance(self, d, t):
         # d is measured from the continued contact line; there t_hat = t_exit
-        th = self.t_exit + np.asarray(d, dtype=float)
-        g0 = np.log1p(np.asarray(d, dtype=float) / self.t_exit)
-        return _curved_value(g0, th, self.B, self.v2, np.sqrt(th) - self.B)
+        d, te = _arg(d), self.t_exit
+        th = te + d
+        g0 = _np(np.log1p, _div(d, te))
+        return _curved_value(g0, th, self.B, self.v2, _sqrt(th) - self.B)
 
     def __call__(self, x, t):
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        t_hat = np.asarray(x - (self.u0 - 1.0) * t, dtype=float)
-        d = t_hat - self.t_exit
-        scale = 1.0 + np.abs(x) + np.abs((self.u0 - 1.0) * t)
-        bad = d <= _MARKER_TOL * scale
-        val = self.from_distance(np.where(bad, self.t_exit, d), t)
-        return _returns_like(x, np.where(bad, math.copysign(INF, self.v2), val))
+        x, ut = _arg(x), (self.u0 - 1.0) * _arg(t)
+        te = self.t_exit
+        d = x - ut - te
+        bad = d <= _MARKER_TOL * (1.0 + abs(x) + abs(ut))
+        val = self.from_distance(_where(bad, te, d), t)
+        return _where(bad, math.copysign(INF, self.v2), val)
 
 
 # ---------------------------------------------------------------------------
@@ -652,8 +605,9 @@ class Front:
         return self.birth <= t < self.death
 
     def u_traces(self, t):
-        """(u_L, u_R) on the curve at times t; a constant side is its value,
-        with no position evaluated."""
+        """(u_L, u_R) on the curve at times t; a constant side is its value
+        (for an array t, an array filled with it), with no position
+        evaluated."""
         t = _arg(t)
         return tuple(_const(t, law.value) if isinstance(law, ConstLaw)
                      else law(self.geom.pos(t), t) for law in self.u_laws)

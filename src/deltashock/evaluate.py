@@ -120,14 +120,9 @@ def fields(sol: Solution, ts, xs):
             # pos[j, 1 + f]: front f at time j, after a NaN column; idx
             # counts the fronts at or left of x, then points on the nearest
             # of them (pos[j, idx], NaN when there is none) move to its left
-            geoms = [sol.fronts[f].geom for f in ep.fronts]
-            if len(rows) == 1:
-                t = tl[rows[0]]
-                pos = np.array([[math.nan] + [g.pos(t) for g in geoms]])
-            else:
-                t = ts[rows]
-                pos = np.array([np.full(len(rows), math.nan)]
-                               + [g.pos(t) for g in geoms]).T
+            t = ts[rows]
+            pos = np.array([np.full(len(rows), math.nan)]
+                           + [sol.fronts[f].geom.pos(t) for f in ep.fronts]).T
             idx = (pos[:, 1:, None] <= xs).sum(axis=1)
             prev = pos[np.arange(len(rows))[:, None], idx]
             idx -= np.abs(xs - prev) <= _ON_FRONT_TOL * (1.0 + np.abs(prev))

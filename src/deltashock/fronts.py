@@ -150,7 +150,7 @@ def _log_roots(a: float, b: float, terms: float) -> list[float]:
     else:
         c = 1.0 + g
         guesses = (math.log(c + math.log(c + math.log(c))), math.exp(-c) - c)
-    return [ln_a - float(L) for L in _halley(guesses, g, -1.0)]
+    return [ln_a - _halley(L, g, -1.0) for L in guesses]
 
 
 def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Point]:

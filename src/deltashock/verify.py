@@ -94,8 +94,8 @@ _BUMP_ANTIDERIVATIVE = _bump_antiderivative_coefs(_BUMP_POW)
 
 
 def _bump_base(r):
-    """max(1 - r^2, 0) for an array r, built in one new array."""
-    s = r * r
+    """max(1 - r^2, 0), built in one new array (0-d for a scalar r)."""
+    s = np.multiply(r, r, out=np.empty(np.shape(r)))
     np.subtract(1.0, s, out=s)
     return np.maximum(s, 0.0, out=s)
 
@@ -119,15 +119,9 @@ class TestFunction:
 
     @staticmethod
     def _bump(r):
-        r = np.asarray(r, dtype=float)
-        s = np.maximum(1.0 - r * r, 0.0)
-        return s ** _BUMP_POW
-
-    @staticmethod
-    def _dbump(r):
-        r = np.asarray(r, dtype=float)
-        s = np.maximum(1.0 - r * r, 0.0)
-        return -2.0 * _BUMP_POW * r * s ** (_BUMP_POW - 1)
+        # [()] makes a 0-d base a numpy scalar: numpy raises a scalar and
+        # an array to a power with different routines
+        return _bump_base(r)[()] ** _BUMP_POW
 
     @staticmethod
     def _bump_integral(r, s=None):
@@ -299,10 +293,8 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 continue
             a, b, t = a[rows], b[rows], tn[rows]
             if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
-                if owner is not None:
-                    v = np.asarray(owner.strength(t)) / (2.0 * eps)
-                else:
-                    v = reg.v_law.value
+                v = (reg.v_law.value if owner is None
+                     else owner.strength(t) / (2.0 * eps))
                 yield rows, np.stack((a, b)), None, None, reg.u_law.value, v
                 continue
             off = None
@@ -311,7 +303,7 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 # zero, since sqrt() in the graded parametrization would turn
                 # 1e-15 of position round-off into a missing boundary sliver
                 # of visible mass ~ sqrt(1e-15)
-                locus = np.asarray(reg.v_law.singular_locus(t))
+                locus = reg.v_law.singular_locus(t)
                 off = a - locus
                 off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
             n = panels(a, b, t, reg.u_law)
@@ -321,13 +313,13 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 x, wx, dist = _x_nodes(a[blk], b[blk], n, order,
                                        None if off is None else off[blk])
                 tt = t[blk, None]
-                u = np.asarray(reg.u_law(x, tt))
+                u = reg.u_law(x, tt)
                 if owner is not None:
-                    v = np.asarray(owner.strength(t[blk]))[:, None] / (2.0 * eps)
+                    v = owner.strength(t[blk])[:, None] / (2.0 * eps)
                 elif dist is not None:
-                    v = np.asarray(reg.v_law.from_distance(dist, tt))
+                    v = reg.v_law.from_distance(dist, tt)
                 else:
-                    v = np.asarray(reg.v_law(x, tt))
+                    v = reg.v_law(x, tt)
                 yield rows[blk], None, x, wx, u, v
 
 
@@ -438,7 +430,7 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                     continue  # the front stays outside the support
                 uL, uR = f.u_traces(tn)
                 alpha = f.strength(tn)
-                w0 = split_weight(uL, uR, np.asarray(f.geom.slope(tn)))
+                w0 = split_weight(uL, uR, f.geom.slope(tn))
                 m = (alpha * w0 * (uL - 1.0)
                      + alpha * (1.0 - w0) * (uR - 1.0))
                 db = -2.0 * _BUMP_POW * rc * s ** (_BUMP_POW - 1)
@@ -493,7 +485,7 @@ def auto_window(sol: Solution, t_hi: float, pad: float = 1.0):
     for f in sol.fronts.values():
         tt = ts[(ts >= f.birth) & (ts < f.death)]
         if len(tt):
-            p = np.asarray(f.geom.pos(tt))
+            p = f.geom.pos(tt)
             lo = min(lo, float(np.min(p)))
             hi = max(hi, float(np.max(p)))
     return lo - pad, hi + pad
@@ -540,8 +532,8 @@ def mass_balance(sol: Solution, window: tuple[float, float], times) -> float:
         ep = sol.epoch_at(0.5 * (t0 + t1))
         reg_l = sol.regions[ep.regions[0]]
         reg_r = sol.regions[ep.regions[-1]]
-        fl = float((np.asarray(reg_l.u_law(X0, t0)) - 1.0) * reg_l.v_law(X0, t0))
-        fr = float((np.asarray(reg_r.u_law(X1, t0)) - 1.0) * reg_r.v_law(X1, t0))
+        fl = float((reg_l.u_law(X0, t0) - 1.0) * reg_l.v_law(X0, t0))
+        fr = float((reg_r.u_law(X1, t0) - 1.0) * reg_r.v_law(X1, t0))
         expect = (fl - fr) * (t1 - t0)
         err = max(err, abs(masses[k + 1] - masses[k] - expect))
     return err
@@ -564,7 +556,7 @@ def overcompressibility_report(sol: Solution, samples: int = 200,
             continue
         t1 = min(f.death, max(cap, f.birth * 2.0 + 1.0))
         ts = f.birth + (t1 - f.birth) * np.linspace(1e-9, 1.0, samples)
-        cdot = np.asarray(f.geom.slope(ts))
+        cdot = f.geom.slope(ts)
         u_left, u_right = f.u_traces(ts)
         lo = cdot - u_right
         hi = u_left - 1.0 - cdot
@@ -590,8 +582,7 @@ class EntropyPair:
         xs = np.linspace(lo, hi, 41)
         h = (hi - lo) / 200.0
         for fn, name in ((f, "f"), (g, "g")):
-            second = (np.asarray(fn(xs + h)) - 2.0 * np.asarray(fn(xs))
-                      + np.asarray(fn(xs - h))) / (h * h)
+            second = (fn(xs + h) - 2.0 * fn(xs) + fn(xs - h)) / (h * h)
             if np.min(second) < -1e-7:
                 raise ValueError(f"entropy pair requires convex {name}")
 
@@ -753,6 +744,6 @@ def compare_oracle(sol: Solution, orun: OracleRun,
     if not (t1 > t0):
         raise ValueError("no overlap between oracle and exact fan intervals")
     ts = np.linspace(t0, t1 * (1.0 - 1e-12), samples)
-    traj_err = np.max(np.abs(orun.traj(ts) - np.asarray(exact.geom.pos(ts))))
-    alpha_err = np.max(np.abs(orun.strength(ts) - np.asarray(exact.strength(ts))))
+    traj_err = np.max(np.abs(orun.traj(ts) - exact.geom.pos(ts)))
+    alpha_err = np.max(np.abs(orun.strength(ts) - exact.strength(ts)))
     return float(traj_err), float(alpha_err)

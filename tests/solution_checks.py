@@ -1,6 +1,7 @@
 """Checks of solutions and entropy pairs that only the tests use: the speed
 of delta contacts, the ordering after a bifurcation, a deliberately wrong
-solution for the residual oracle, and the compatibility of an entropy pair.
+solution for the residual oracle, the compatibility of an entropy pair, and
+the derivative of the test functions' bump.
 """
 
 import math
@@ -9,7 +10,7 @@ from dataclasses import replace
 import numpy as np
 
 from deltashock.core import AffineStrength, FrontKind, Solution
-from deltashock.verify import EntropyPair
+from deltashock.verify import _BUMP_POW, EntropyPair
 
 
 def delta_contact_slope_error(sol: Solution, samples: int = 100) -> float:
@@ -68,3 +69,11 @@ def entropy_compat_error(pair: EntropyPair, us, vs, h: float = 1e-5) -> float:
     e1 = np.abs(qu - (us * eu + vs * ev))
     e2 = np.abs(qv - (us - 1.0) * ev)
     return float(max(np.max(e1), np.max(e2)))
+
+
+def dbump(r):
+    """The derivative of ``verify.TestFunction._bump``, the bump
+    (1 - r^2)^8 on [-1, 1] and 0 outside."""
+    r = np.asarray(r, dtype=float)
+    s = np.maximum(1.0 - r * r, 0.0)
+    return -2.0 * _BUMP_POW * r * s ** (_BUMP_POW - 1)

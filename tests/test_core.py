@@ -24,9 +24,11 @@ from deltashock.core import (
     TabulatedStrength,
     WCurvedV,
     WStraightV,
+    WTildeCurvedV,
     _HALLEY_MAX,
     _TAIL_COEF,
     _curved_s,
+    _curved_value,
     _expm1_tail,
     _halley,
     split_weight,
@@ -142,14 +144,22 @@ def _float_path_matches(f, *args):
     assert each[~nan].tobytes() == whole[~nan].tobytes()
 
 
+# offsets from a singular locus, relative to 1 + |locus|: on it, inside
+# the 1e-12 marker band, just outside it, and well past it
+_BAND = st.sampled_from((0.0, -0.0, -1e-13, 1e-13, 5e-13, 1e-12, 2e-12, 1e-11))
+
+
 @settings(max_examples=300, deadline=None)
 @given(tc=_MAG, xc=_MAG, u_k=_MAG, K=_MAG, C=_MAG, v_ref=_MAG, u_ref=_MAG,
        v_k=_MAG, gamma=_MAG, sigma=st.sampled_from((-1.0, 1.0)),
        y0=st.floats(0.0, 1e6), ys=st.lists(_MAG, min_size=1, max_size=12),
        xs=st.lists(_MAG, min_size=14, max_size=14),
-       ws=st.lists(st.floats(-50.0, 50.0), min_size=14, max_size=14))
+       ws=st.lists(st.floats(-50.0, 50.0), min_size=14, max_size=14),
+       B=st.floats(1e-3, 1e3),
+       rel=st.lists(st.one_of(_BAND, st.floats(-1.0, 10.0)), min_size=14,
+                    max_size=14))
 def test_float_path_matches_array_path(tc, xc, u_k, K, C, v_ref, u_ref, v_k,
-                                       gamma, sigma, y0, ys, xs, ws):
+                                       gamma, sigma, y0, ys, xs, ws, B, rel):
     # times from the fan center tc, the birth t0 = tc + y0 among them, and
     # times before tc, where sqrt and log leave their domain; exp also sees
     # moderate arguments: the point laws at x where the fan's u - u_ref is
@@ -178,6 +188,23 @@ def test_float_path_matches_array_path(tc, xc, u_k, K, C, v_ref, u_ref, v_k,
             _float_path_matches(lambda t: front.u_traces(t)[k], ts)
         for k in range(3):
             _float_path_matches(lambda t: front.atom(t)[k], ts)
+    # the post-breakdown profiles, from before the breakdown time B^2 on,
+    # at and beside their singular locus; their root, with guesses of
+    # either side of it and g of any sign
+    tw = [B * B * (0.5 + abs(w) / 10.0) for w in ws]
+    for law in (WStraightV(B, u_k, v_ref, u_ref, xc), WCurvedV(B, v_ref, u_ref),
+                WTildeCurvedV(ws[0], B, v_ref, ws[1])):
+        with np.errstate(all="ignore"):
+            locus = [law.singular_locus(t) for t in tw]
+        _float_path_matches(law.singular_locus, tw)
+        xw = [c + r * (1.0 + abs(c)) for c, r in zip(locus, rel)]
+        _float_path_matches(law, xw, tw)
+        _float_path_matches(law.from_distance, [r * t for r, t in zip(rel, tw)], tw)
+    _float_path_matches(lambda g0, t, s_up: _curved_value(g0, t, B, v_ref, s_up),
+                        [r * (1.0 + abs(w)) for r, w in zip(rel, ws)], tw,
+                        [math.sqrt(t) - B for t in tw])
+    _float_path_matches(lambda L, g: _halley(L, g, sigma), [w / 10.0 for w in ws],
+                        [r * abs(w) for r, w in zip(rel, ws)])
 
 
 def test_curved_root_matches_mpmath():
@@ -275,8 +302,10 @@ def test_halley_matches_reference_loop(monkeypatch):
         ref = [_curved_s(g0, 1.7, s_up) for s_up in (np.inf, s_upper, 0.25)]
         ref += [_curved_s(float(a), 1.7, 0.25) for a in g0[:50]]
     assert (got[1][0] == s_upper).any() and got[0][1].any()
+    assert all(type(s) is float and type(bad) is bool for s, bad in got[3:])
     for (s, bad), (s_ref, bad_ref) in zip(got, ref):
-        assert s.tobytes() == s_ref.tobytes() and bad.tobytes() == bad_ref.tobytes()
+        assert np.asarray(s).tobytes() == np.asarray(s_ref).tobytes()
+        assert np.asarray(bad).tobytes() == np.asarray(bad_ref).tobytes()
 
 
 def test_curved_profile_independent_of_batch():
