@@ -4,14 +4,14 @@ alive at given times with positions, strengths, and splits.
 ``fields`` takes one of two paths, chosen by ``len(ts)``.  A single time is
 one row: one epoch lookup, the front positions as floats, one gather from
 the epoch's per-region constants, and one call per other law on its own
-points with the time as a float.  A grid of two or more times is
-evaluated with a handful of array operations per epoch, one gather for all
-constant regions and one masked call per other law.  ``atom_table``
-evaluates every carrying front once on all the times at which it is alive.
-``sample`` and ``atoms_at`` are the one-time cases, so a row of the grid
-is bit-identical to the sample at that time.  A closed form gets one time
-as a float and several as an array, whichever is cheaper, with the same
-bits either way (see ``core``).
+points (a lone point as a float) with the time as a float.  A grid of two
+or more times is evaluated with a handful of array operations per epoch,
+one gather for all constant regions and one masked call per other law.
+``atom_table`` evaluates every carrying front once on all the times at
+which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases, so
+a row of the grid is bit-identical to the sample at that time.  A closed
+form gets one time as a float and several as an array, whichever is
+cheaper, with the same bits either way (see ``core``).
 """
 
 from __future__ import annotations
@@ -86,8 +86,9 @@ def _row(sol: Solution, t: float, xs):
                  if not isinstance(row[slot], ConstLaw)]
         if calls:
             i = (k == slot).nonzero()[0]
+            x = xs[i] if len(i) > 1 else float(xs[i[0]])
             for out, law in calls:
-                out[i] = law(xs[i], t)
+                out[i] = law(x, t)
     return uv[:1], uv[1:]
 
 

@@ -138,6 +138,12 @@ class TestFunction:
         p *= r
         return p
 
+    def _x_factors(self, x):
+        """r = (x - xc)/sx clipped to [-1, 1], s = 1 - r^2, P(r), bump(r)."""
+        r = np.minimum(np.maximum((x - self.xc) / self.sx, -1.0), 1.0)
+        s = 1.0 - r * r
+        return r, s, self._bump_integral(r, s), s ** _BUMP_POW
+
     def value(self, t, x):
         return (self._bump((np.asarray(t) - self.tc) / self.st)
                 * self._bump((np.asarray(x) - self.xc) / self.sx))
@@ -250,53 +256,67 @@ def _x_nodes(lo, hi, panels, order, off=None):
     return x, wts, None
 
 
-def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
+def _end_table(fronts, tn, x_lo: float, x_hi: float, eps=None):
+    """The unclipped x of the region pieces' ends at the time nodes ``tn``,
+    one row each: p_{-1} = x_lo, the nf ``fronts`` at p_j, p_nf = x_hi, and
+    with ``eps`` the strip edges: row nf + 2 + j is max(p_j - eps, p_{j-1})
+    and row 2 nf + 2 + j is min(p_j + eps, max(p_j, p_{j+1}))."""
+    nf = len(fronts)
+    ends = np.empty((nf + 2 if eps is None else 3 * nf + 2, len(tn)))
+    ends[0], ends[nf + 1] = x_lo, x_hi
+    for j, f in enumerate(fronts):
+        ends[j + 1] = f.geom.pos(tn)
+    if eps is not None:
+        p, before, after = ends[1:nf + 1], ends[:nf], ends[2:nf + 2]
+        np.maximum(p - eps, before, out=ends[nf + 2:2 * nf + 2])
+        np.minimum(p + eps, np.maximum(p, after), out=ends[2 * nf + 2:])
+    return ends
+
+
+def _slabs(sol: Solution, ep, fronts, ends, tn, x_lo: float, x_hi: float,
            panels: Callable, order: int, eps: Optional[float] = None):
     """Quadrature over the region pieces of one epoch at the time nodes
-    ``tn``, where ``pos`` holds the positions of the epoch's ``fronts``.
+    ``tn``, where ``ends`` is the ``_end_table`` of the epoch's ``fronts``.
 
     Each region is clipped to [x_lo, x_hi] row by row.  With ``eps``, the
     strips of width eps on both sides of every atom front are pieces of their
     own, on which v is the atom spread evenly, alpha/(2 eps).  Yields
-    (rows, ends, x, wx, u, v) per piece, ``rows`` being the indices of its
-    non-empty rows in ``tn``.  A piece on which neither u nor v depends on x
-    (ConstLaw u and v, or a strip beside a ConstLaw u) is a flat row:
-    ``ends`` holds the per-row endpoints as a (2, rows) array, x and wx are
-    None, u is a float and v a float or a per-row array.  Every other piece
-    has x nodes: ``ends`` is None, x and wx are the nodes and weights
-    (``panels(a, b, t, u_law)`` panels of ``order`` points, from the rows'
-    ends a, b, times t and the region's u-law) and u and v are the fields at
-    the nodes.  A node piece is yielded in blocks of whole rows, each of at
-    most ``_NODE_BLOCK`` nodes unless one row alone has more, so the arrays
+    (rows, ends, x, wx, u, v) per piece.  A piece on which neither u nor v
+    depends on x (ConstLaw u and v, or a strip beside a ConstLaw u) is flat:
+    ``rows`` is every row, ``slice(None)``, ``ends`` the table rows (a, b)
+    of its ends (a row with b <= a adds nothing), x = wx = None, u a float
+    and v a float or per-row.  Every other piece has x nodes: ``rows`` are
+    its non-empty rows in ``tn``, ``ends`` is None, x and wx the nodes and
+    weights (``panels(a, b, t, u_law)`` panels of ``order`` points, from
+    the rows' ends a, b, times t and the region's u-law), u and v the
+    fields there.  A node piece comes in blocks of whole rows, at most
+    ``_NODE_BLOCK`` nodes each unless one row alone has more, so the arrays
     of a long run of time nodes stay small; a block changes no row's nodes.
     """
     nf = len(fronts)
     for k, rid in enumerate(ep.regions):
         reg = sol.regions[rid]
         flat_u = isinstance(reg.u_law, ConstLaw)
-        lo = pos[k - 1] if k > 0 else np.full_like(tn, x_lo)
-        hi = pos[k] if k < nf else np.full_like(tn, x_hi)
-        lo_main, hi_main, pieces = lo, hi, []
+        lo, hi, pieces = k, k + 1, []
         if eps is not None:
             if k > 0 and fronts[k - 1].kind.carries_atom:
-                pieces.append((lo, np.minimum(lo + eps, hi), fronts[k - 1]))
-                lo_main = lo + eps
+                lo = 2 * nf + 1 + k
+                pieces.append((k, lo, fronts[k - 1]))
             if k < nf and fronts[k].kind.carries_atom:
-                pieces.append((np.maximum(hi - eps, lo), hi, fronts[k]))
-                hi_main = hi - eps
-        pieces.append((lo_main, hi_main, None))
-        for a, b, owner in pieces:
-            a = np.maximum(a, x_lo)
-            b = np.minimum(b, x_hi)
+                hi = nf + 2 + k
+                pieces.append((hi, k + 1, fronts[k]))
+        pieces.append((lo, hi, None))
+        for ia, ib, owner in pieces:
+            if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
+                v = (reg.v_law.value if owner is None
+                     else owner.strength(tn) / (2.0 * eps))
+                yield slice(None), (ia, ib), None, None, reg.u_law.value, v
+                continue
+            a, b = np.maximum(ends[ia], x_lo), np.minimum(ends[ib], x_hi)
             rows = np.flatnonzero(b - a > 0.0)
             if not len(rows):
                 continue
             a, b, t = a[rows], b[rows], tn[rows]
-            if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
-                v = (reg.v_law.value if owner is None
-                     else owner.strength(t) / (2.0 * eps))
-                yield rows, np.stack((a, b)), None, None, reg.u_law.value, v
-                continue
             off = None
             if owner is None and reg.v_law.singular_left:
                 # distance to the blow-up locus; noise-level offsets snap to
@@ -315,7 +335,8 @@ def _slabs(sol: Solution, ep, fronts, pos, tn, x_lo: float, x_hi: float,
                 tt = t[blk, None]
                 u = reg.u_law(x, tt)
                 if owner is not None:
-                    v = owner.strength(t[blk])[:, None] / (2.0 * eps)
+                    v = np.broadcast_to(owner.strength(t[blk])[:, None]
+                                        / (2.0 * eps), x.shape)
                 elif dist is not None:
                     v = reg.v_law.from_distance(dist, tt)
                 else:
@@ -337,28 +358,25 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     cell keeps its own time panels, but the front positions, phi's t-factor,
     the ``_slabs`` walk and the atom line integrals run once per group, on
     the time nodes of all its cells; a node piece gets the x panels of its
-    widest row in the group.  phi is the product of the t-factor and an
-    x-factor, evaluated once per piece.  Each factor and its derivative
-    come from one s = 1 - r^2, built in place.  On a flat row (see
-    ``_slabs``) the x-integrals of the x-factor and its derivative are
-    exact: sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a), with P the
-    bump's antiderivative, both from one s of the ends clipped to [-1, 1].
+    widest row in the group.  phi is a t-factor times an x-factor, which a
+    group evaluates with its antiderivative P once, on its ``_end_table``
+    at r clipped to [-1, 1].  A flat piece (see ``_slabs``) has the exact
+    x-integrals sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a) on its rows
+    with r_b > r_a; a node piece folds the t-weights into its node weights.
 
     The last component is v's and may carry the solution's delta atoms.  With
     ``atoms`` they enter as measures: per atom front the line integral of
     alpha phi_t + m phi_x with the split-product flux
     m = alpha0 (uL-1) + alpha1 (uR-1), and the initial atoms in the initial
     term.  A group integrates a front's line integral only if the bump's
-    x-factor is nonzero at some of its time nodes; otherwise the integrand
-    is exactly zero, and the front's traces, strength and split are never
-    evaluated.  With ``eps`` the atoms are spread over strips beside their
-    fronts (see ``_slabs``).  With neither, an atom front inside the
-    support is an error.
+    x-factor, read from the front's row of the table, is nonzero at some of
+    its time nodes; otherwise the integrand is exactly zero, and the front's
+    traces, strength and split are never evaluated.  With ``eps`` the atoms
+    are spread over strips beside their fronts (see ``_slabs``).  With
+    neither, an atom front inside the support is an error.
     """
-    t_lo = max(0.0, phi.tc - phi.st)
-    t_hi = phi.tc + phi.st
-    x_lo = phi.xc - phi.sx
-    x_hi = phi.xc + phi.sx
+    t_lo, t_hi = max(0.0, phi.tc - phi.st), phi.tc + phi.st
+    x_lo, x_hi = phi.xc - phi.sx, phi.xc + phi.sx
     R = [0.0] * len(laws)
     cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi, eps) if t_hi > t_lo else []
     for ep, group in groupby(cells, lambda c: sol.epoch_at(0.5 * (c[0] + c[1]))):
@@ -368,8 +386,7 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             tn.append(a + (b - a) * xi)
             tw.append((b - a) * wxi)
         tn, tw = np.concatenate(tn), np.concatenate(tw)
-        rt = tn - phi.tc
-        rt /= phi.st
+        rt = (tn - phi.tc) / phi.st
         s = _bump_base(rt)
         bt = s ** _BUMP_POW                  # weights of the phi_x terms
         bt *= tw
@@ -379,85 +396,76 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
         dbt *= tw
         dbt /= phi.st
         fronts = [sol.fronts[f] for f in ep.fronts]
-        pos = [f.geom.pos(tn) for f in fronts]
+        ends = _end_table(fronts, tn, x_lo, x_hi, eps)
+        r, s, P, Q = phi._x_factors(ends)
         if eps is None and not atoms and any(
-                f.kind.carries_atom and np.any((p > x_lo) & (p < x_hi))
-                for f, p in zip(fronts, pos)):
+                f.kind.carries_atom and s[j + 1].any() for j, f in enumerate(fronts)):
             raise ValueError("an atom front crosses the test function "
                              "support; pass eps for the strip regularization")
-        for rows, ends, x, wx, u, v in _slabs(
-                sol, ep, fronts, pos, tn, x_lo, x_hi,
+        for rows, ab, x, wx, u, v in _slabs(
+                sol, ep, fronts, ends, tn, x_lo, x_hi,
                 lambda a, b, t, u_law: _panels_for(float(np.max(b - a)), phi.sx),
                 _ORDER, eps):
-            bt_r, dbt_r = bt[rows], dbt[rows]
             if x is None:
-                r = ends - phi.xc
-                r /= phi.sx
-                np.maximum(r, -1.0, out=r)
-                np.minimum(r, 1.0, out=r)
-                s = r * r
-                np.subtract(1.0, s, out=s)
-                p = phi._bump_integral(r, s)
-                q = s ** _BUMP_POW
-                ix = phi.sx * (p[1] - p[0])
-                jx = q[1] - q[0]
+                ia, ib = ab
+                nonempty = r[ib] > r[ia]
+                ix, jx = (P[ib] - P[ia]) * nonempty, (Q[ib] - Q[ia]) * nonempty
+                if isinstance(v, np.ndarray):  # a strip: alpha/(2 eps) per row
+                    for i, law in enumerate(laws):
+                        rho, flux = law(u, v)
+                        R[i] += float(phi.sx * np.dot(ix * rho, dbt)
+                                      + np.dot(jx * flux, bt))
+                    continue
+                ix, jx = phi.sx * float(ix @ dbt), float(jx @ bt)
                 for i, law in enumerate(laws):
                     rho, flux = law(u, v)
-                    R[i] += float(np.dot(dbt_r, rho * ix) + np.dot(bt_r, flux * jx))
+                    R[i] += float(rho * ix + flux * jx)
                 continue
-            r = x - phi.xc
-            r /= phi.sx
-            s = _bump_base(r)
-            s7 = s ** (_BUMP_POW - 1)
-            bx = s7 * s
+            rx = x - phi.xc
+            rx /= phi.sx
+            sn = _bump_base(rx)
+            s7 = sn ** (_BUMP_POW - 1)
+            bx = s7 * sn                         # phi_t weights at the nodes
             bx *= wx
-            dbx = r                              # r is scaled in place
+            bx *= dbt[rows, None]
+            dbx = rx                             # phi_x weights, rx in place
             dbx *= -2.0 * _BUMP_POW / phi.sx
             dbx *= s7
             dbx *= wx
+            dbx *= bt[rows, None]
             for i, law in enumerate(laws):
                 rho, flux = law(u, v)
-                R[i] += float(np.dot(dbt_r, np.sum(rho * bx, axis=1))
-                              + np.dot(bt_r, np.sum(flux * dbx, axis=1)))
+                R[i] += float(np.vdot(bx, rho) + np.vdot(dbx, flux))
         if atoms:
-            for f, c in zip(fronts, pos):
-                if not f.kind.carries_atom:
-                    continue
-                rc = c - phi.xc
-                rc /= phi.sx
-                s = _bump_base(rc)
-                if not np.any(s > 0.0):
+            for j, f in enumerate(fronts, 1):
+                if not (f.kind.carries_atom and s[j].any()):
                     continue  # the front stays outside the support
                 uL, uR = f.u_traces(tn)
                 alpha = f.strength(tn)
                 w0 = split_weight(uL, uR, f.geom.slope(tn))
                 m = (alpha * w0 * (uL - 1.0)
                      + alpha * (1.0 - w0) * (uR - 1.0))
-                db = -2.0 * _BUMP_POW * rc * s ** (_BUMP_POW - 1)
-                R[-1] += float(np.sum(dbt * alpha * s ** _BUMP_POW
-                                      + bt * m * db / phi.sx))
-    if phi.tc - phi.st < 0.0 < t_hi:
-        init = [0.0] * len(laws)
+                db = -2.0 * _BUMP_POW / phi.sx * r[j] * s[j] ** (_BUMP_POW - 1)
+                R[-1] += float(np.dot(alpha * Q[j], dbt) + np.dot(m * db, bt))
+    if phi.tc - phi.st < 0.0 < t_hi:         # the initial term, at t = 0
         ep = sol.epochs[0]
         fronts = [sol.fronts[f] for f in ep.fronts]
         t0 = np.zeros(1)
-        pos = [f.geom.pos(t0) for f in fronts]
+        ends = _end_table(fronts, t0, x_lo, x_hi)
+        r, _, P, Q = phi._x_factors(ends)
         b0 = float(phi._bump(-phi.tc / phi.st))
-        for _, ends, x, w, u, v in _slabs(sol, ep, fronts, pos, t0, x_lo,
-                                          x_hi, lambda *_: 6, _ORDER):
+        for _, ab, x, w, u, v in _slabs(sol, ep, fronts, ends, t0, x_lo,
+                                        x_hi, lambda *_: 6, _ORDER):
             if x is None:
-                p = phi._bump_integral((ends - phi.xc) / phi.sx)
-                p0 = phi.sx * (p[1] - p[0])
+                p0 = phi.sx * (P[ab[1]] - P[ab[0]]) * (r[ab[1]] > r[ab[0]])
             else:
                 p0 = w * phi._bump((x - phi.xc) / phi.sx)
             for i, law in enumerate(laws):
-                init[i] += b0 * float(np.sum(law(u, v)[0] * p0))
-        for f, c in zip(fronts, pos):
-            if atoms and f.kind.carries_atom:
-                g0 = float(f.strength(0.0))
-                if g0 != 0.0:
-                    init[-1] += g0 * float(phi.value(0.0, c[0]))
-        R = [r + i for r, i in zip(R, init)]
+                R[i] += b0 * float(np.sum(law(u, v)[0] * p0))
+        if atoms:
+            R[-1] += b0 * sum(float(f.strength(0.0)) * float(Q[j, 0])
+                              for j, f in enumerate(fronts, 1)
+                              if f.kind.carries_atom)
     return R
 
 
@@ -503,14 +511,15 @@ def _mass_at(sol: Solution, t: float, X0: float, X1: float) -> float:
     ep = sol.epoch_at(t)
     fronts = [sol.fronts[f] for f in ep.fronts]
     tn = np.array([t])
-    pos = [f.geom.pos(tn) for f in fronts]
-    if any(p[0] <= X0 or p[0] >= X1 for p in pos):
+    ends = _end_table(fronts, tn, X0, X1)
+    if np.any(ends[1:-1] <= X0) or np.any(ends[1:-1] >= X1):
         raise ValueError(f"fronts exit the window [{X0}, {X1}] at t={t}")
     total = 0.0
-    for _, ends, x, w, _, v in _slabs(sol, ep, fronts, pos, tn, X0, X1,
-                                      _mass_panels, _MASS_ORDER):
+    for _, ab, x, w, _, v in _slabs(sol, ep, fronts, ends, tn, X0, X1,
+                                    _mass_panels, _MASS_ORDER):
         if x is None:
-            total += float(np.sum(v * (ends[1] - ends[0])))
+            width = np.minimum(ends[ab[1]], X1) - np.maximum(ends[ab[0]], X0)
+            total += float(np.sum(v * width, where=width > 0.0))
         else:
             total += float(np.sum(w * v))
     for f in fronts:

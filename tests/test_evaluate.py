@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import Scenario, State
+from deltashock.core import Scenario, State, WCurvedV, WTildeCurvedV
 from deltashock.evaluate import atom_table, atoms_at, fields, sample
 from deltashock.interact import fan_solution, run
 
@@ -177,6 +177,30 @@ def test_fields_rows_equal_sample(name):
     for x, (j, rid) in on.items():
         i = int(np.searchsorted(xs, x))
         assert u[j, i] == sol.regions[rid].u_law(x, float(ts[j]))
+
+
+def test_one_point_curved_region_row_equals_grid():
+    # a row whose curved region holds exactly one point passes that point
+    # to the laws as a float; the grid passes arrays, with the same bits
+    seen = set()
+    for name in ("case5_bif_left", "case5_bif_mid"):
+        sol = run(BATTERY[name])
+        for ep in sol.epochs:
+            t = ep.t0 + 0.5 * (min(ep.t1, ep.t0 + 2.0) - ep.t0)
+            pos = [sol.fronts[f].geom.pos(t) for f in ep.fronts]
+            for k, rid in enumerate(ep.regions):
+                law = sol.regions[rid].v_law
+                if not isinstance(law, (WCurvedV, WTildeCurvedV)):
+                    continue
+                xs = np.array([min(pos) - 1.0, 0.5 * (pos[k - 1] + pos[k]),
+                               max(pos) + 1.0])
+                u, v = fields(sol, [t, t + 1e-3], xs)
+                s = sample(sol, t, xs)
+                assert np.array_equal(u[0], s.u_vals)
+                assert np.array_equal(v[0], s.v_regular_vals)
+                assert math.isfinite(s.v_regular_vals[1])
+                seen.add(type(law))
+    assert seen == {WCurvedV, WTildeCurvedV}
 
 
 @pytest.mark.parametrize("name", list(BATTERY))

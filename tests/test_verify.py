@@ -91,9 +91,20 @@ def test_flat_rows_match_node_quadrature_mass(battery_pairs):
                    - V.mass_balance(nodes, window, times)) <= 1e-13
 
 
+def _flat_rows(table, ends, x_lo, x_hi, v):
+    """A flat piece's ends clipped to [x_lo, x_hi] as a (2, rows) array on
+    its non-empty rows, those rows, and v on them as a column."""
+    a, b = (np.minimum(np.maximum(table[i], x_lo), x_hi) for i in ends)
+    rows = np.flatnonzero(b - a > 0.0)
+    v = np.broadcast_to(np.asarray(v, dtype=float), a.shape)[rows, None]
+    return np.stack((a, b))[:, rows], rows, v
+
+
 def _per_cell_pairing(sol, phi, laws, eps=None, atoms=False):
     """``verify._pairing`` one time cell at a time: every cell has its own
-    time nodes, front positions, ``_slabs`` walk and x panels."""
+    time nodes, front positions, ``_slabs`` walk and x panels, and a flat
+    piece is integrated on its non-empty rows, from its ends clipped to the
+    window in x."""
     t_lo, t_hi = max(0.0, phi.tc - phi.st), phi.tc + phi.st
     x_lo, x_hi = phi.xc - phi.sx, phi.xc + phi.sx
     R = [0.0] * len(laws)
@@ -105,15 +116,16 @@ def _per_cell_pairing(sol, phi, laws, eps=None, atoms=False):
         dbt = tw * dbump((tn - phi.tc) / phi.st) / phi.st
         fronts = [sol.fronts[f] for f in ep.fronts]
         pos = [f.geom.pos(tn) for f in fronts]
+        table = V._end_table(fronts, tn, x_lo, x_hi, eps)
         for rows, ends, x, wx, u, v in V._slabs(
-                sol, ep, fronts, pos, tn, x_lo, x_hi,
+                sol, ep, fronts, table, tn, x_lo, x_hi,
                 lambda a, b, t, _: V._panels_for(float(np.max(b - a)), phi.sx),
                 V._ORDER, eps):
             if x is None:   # exact x-integrals of the bump and its derivative
+                ends, rows, v = _flat_rows(table, ends, x_lo, x_hi, v)
                 r = (ends - phi.xc) / phi.sx
                 ix = phi.sx * np.diff(phi._bump_integral(r), axis=0).T
                 jx = np.diff(phi._bump(r), axis=0).T
-                v = np.asarray(v, dtype=float)[..., None]
             else:
                 r = (x - phi.xc) / phi.sx
                 ix, jx = wx * phi._bump(r), wx * dbump(r) / phi.sx
@@ -134,10 +146,12 @@ def _per_cell_pairing(sol, phi, laws, eps=None, atoms=False):
         ep = sol.epochs[0]
         fronts = [sol.fronts[f] for f in ep.fronts]
         pos = [f.geom.pos(np.zeros(1)) for f in fronts]
+        table = V._end_table(fronts, np.zeros(1), x_lo, x_hi)
         b0 = float(phi._bump(-phi.tc / phi.st))
-        for _, ends, x, wx, u, v in V._slabs(sol, ep, fronts, pos, np.zeros(1),
+        for _, ends, x, wx, u, v in V._slabs(sol, ep, fronts, table, np.zeros(1),
                                              x_lo, x_hi, lambda *_: 6, V._ORDER):
             if x is None:
+                ends, _, v = _flat_rows(table, ends, x_lo, x_hi, v)
                 p = phi._bump_integral((ends - phi.xc) / phi.sx)
                 p0 = phi.sx * (p[1] - p[0])
             else:
@@ -174,6 +188,51 @@ def test_epoch_groups_match_per_cell_pairing(battery_pairs):
                     pytest.approx(ref, rel=1e-9, abs=1e-9)
     assert multi >= 100 and initial >= 100
     assert worst <= 1e-13
+
+
+def test_entropy_strips_overlap_between_merging_deltas():
+    # before case1's MergeDeltas at (1/3, 1/2) the region between the two
+    # deltas is narrower than 2 eps: both strips overlap it and its main
+    # piece has b < a, which must add nothing
+    sol = run(BATTERY["case1"])
+    (merge,) = sol.events
+    assert (merge.t, merge.x) == pytest.approx((1 / 3, 1 / 2))
+    eps = 1e-2
+    phi = V.TestFunction(merge.t, merge.x, 0.1, 0.3)
+    cells = V._time_cells(sol, phi.tc - phi.st, phi.tc + phi.st,
+                          phi.xc - phi.sx, phi.xc + phi.sx, eps)
+    # the gap 1 - 3t reaches 2 eps and eps inside the support
+    assert any(b == pytest.approx(merge.t - 2 * eps / 3) for _, b in cells)
+    assert any(b == pytest.approx(merge.t - eps / 3) for _, b in cells)
+    pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
+    entropy = (lambda u, v: (pair.eta(u, v), pair.q(u, v)),)
+    (ref,) = _per_cell_pairing(sol, phi, entropy, eps=eps)
+    assert V.entropy_residual(sol, pair, phi, eps=eps) == pytest.approx(
+        ref, rel=1e-9)
+
+
+def test_one_bump_table_per_epoch_group(battery_pairs, monkeypatch):
+    # a group evaluates the bump's antiderivative once, on its end table,
+    # and the initial term once more; never once per piece
+    calls = []
+    bump_integral = V.TestFunction._bump_integral
+
+    def count(*args):
+        calls.append(1)
+        return bump_integral(*args)
+
+    monkeypatch.setattr(V.TestFunction, "_bump_integral", staticmethod(count))
+    groups = 0
+    for sol, _ in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 200, seed=20240801):
+            cells = V._time_cells(sol, max(0.0, phi.tc - phi.st),
+                                  phi.tc + phi.st, phi.xc - phi.sx,
+                                  phi.xc + phi.sx)
+            groups += len(list(groupby(cells, lambda c: sol.epoch_at(
+                0.5 * (c[0] + c[1])))))
+            groups += phi.tc - phi.st < 0.0
+            V.weak_residual(sol, phi)
+    assert groups > 2000 and len(calls) == groups
 
 
 def test_node_blocks_stay_bounded(battery_pairs, monkeypatch):
