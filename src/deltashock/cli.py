@@ -226,11 +226,10 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
     return written
 
 
-def render_svg(sol: Solution, window, t_max: float,
-               width: int = 880, height: int = 660) -> str:
+def render_svg(sol: Solution, window, t_max: float) -> str:
     """x-t wave diagram: shocks solid, contacts dashed, delta fronts heavy,
     fan edges dotted, interaction events as dots."""
-    m = 55.0
+    width, height, m = 880, 660, 55.0
     x0, x1 = window
     sx = (width - 2 * m) / (x1 - x0)
     sy = (height - 2 * m) / t_max
@@ -364,14 +363,17 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _positive_int(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
-    return n
+def _at_least(low, kind):
+    """An argparse type: the text as a finite ``kind`` (int or float) >= low;
+    argparse reports the ValueError of a malformed text by the kind's name."""
+    def parse(text: str):
+        n = kind(text)
+        if not low <= n < math.inf:
+            raise argparse.ArgumentTypeError(
+                f"must be finite and at least {low}, got {text}")
+        return n
+    parse.__name__ = kind.__name__
+    return parse
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,9 +403,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="run the residual battery on a scenario")
     p.add_argument("scenario")
-    p.add_argument("--tests", type=_positive_int, default=200)
-    p.add_argument("--seed", type=int, default=1234)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tests", type=_at_least(1, int), default=200)
+    p.add_argument("--seed", type=_at_least(0, int), default=1234)
+    p.add_argument("--tol", type=_at_least(0.0, float), default=1e-6)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("oracle", help="compare against the N-shock fan oracle")

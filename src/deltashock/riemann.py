@@ -122,36 +122,22 @@ def solve_grp(left: State, right: State, gamma: float,
         c = 0.5 * (left.u + right.u)
         law = AffineStrength(rh_deficit(left, right, c), gamma, t0)
         fronts.append(FanPiece(FrontKind.DELTA_SHOCK, Line(t0, x0, c), law))
-    elif case is WaveCase.SHOCK_CONTACT:
-        vs = v_star(left.u, right.u, right.v)
-        c = 0.5 * (left.u + right.u)
-        contact_kind = FrontKind.CONTACT
-        st = None
-        if gamma != 0.0:
-            contact_kind = FrontKind.DELTA_CONTACT
-            st = ConstantStrength(gamma)
-        fronts.append(FanPiece(contact_kind, Line(t0, x0, left.u - 1.0), st))
-        regions.append((ConstLaw(left.u), ConstLaw(vs)))
-        fronts.append(FanPiece(FrontKind.SHOCK, Line(t0, x0, c)))
+    elif gamma != 0.0 or case is not WaveCase.CONSTANT or left.v != right.v:
+        # the 1-wave: the contact line of slope u_L - 1, carrying the atom
+        kind, st = ((FrontKind.DELTA_CONTACT, ConstantStrength(gamma))
+                    if gamma != 0.0 else (FrontKind.CONTACT, None))
+        fronts.append(FanPiece(kind, Line(t0, x0, left.u - 1.0), st))
+    if case is WaveCase.SHOCK_CONTACT:
+        regions.append((ConstLaw(left.u),
+                        ConstLaw(v_star(left.u, right.u, right.v))))
+        fronts.append(FanPiece(FrontKind.SHOCK,
+                               Line(t0, x0, 0.5 * (left.u + right.u))))
     elif case is WaveCase.RAREFACTION_CONTACT:
-        v_mid = right.v * math.exp(left.u - right.u)
-        contact_kind = FrontKind.CONTACT
-        st = None
-        if gamma != 0.0:
-            contact_kind = FrontKind.DELTA_CONTACT
-            st = ConstantStrength(gamma)
-        fronts.append(FanPiece(contact_kind, Line(t0, x0, left.u - 1.0), st))
-        regions.append((ConstLaw(left.u), ConstLaw(v_mid)))
+        regions.append((ConstLaw(left.u),
+                        ConstLaw(right.v * math.exp(left.u - right.u))))
         fronts.append(FanPiece(FrontKind.FAN_EDGE, Line(t0, x0, left.u)))
         regions.append((FanU(t0, x0), FanExpV(right.v, right.u, t0, x0)))
         fronts.append(FanPiece(FrontKind.FAN_EDGE, Line(t0, x0, right.u)))
-    else:  # constant u
-        if gamma != 0.0:
-            fronts.append(FanPiece(FrontKind.DELTA_CONTACT,
-                                   Line(t0, x0, left.u - 1.0),
-                                   ConstantStrength(gamma)))
-        elif left.v != right.v:
-            fronts.append(FanPiece(FrontKind.CONTACT, Line(t0, x0, left.u - 1.0)))
 
     regions.append(_const_pair(right))
     return WaveFan(origin, case, tuple(fronts), tuple(regions))

@@ -119,9 +119,7 @@ class TestFunction:
 
     @staticmethod
     def _bump(r):
-        # [()] makes a 0-d base a numpy scalar: numpy raises a scalar and
-        # an array to a power with different routines
-        return _bump_base(r)[()] ** _BUMP_POW
+        return _bump_base(r) ** _BUMP_POW
 
     @staticmethod
     def _bump_integral(r, s=None):
@@ -260,7 +258,8 @@ def _end_table(fronts, tn, x_lo: float, x_hi: float, eps=None):
     """The unclipped x of the region pieces' ends at the time nodes ``tn``,
     one row each: p_{-1} = x_lo, the nf ``fronts`` at p_j, p_nf = x_hi, and
     with ``eps`` the strip edges: row nf + 2 + j is max(p_j - eps, p_{j-1})
-    and row 2 nf + 2 + j is min(p_j + eps, max(p_j, p_{j+1}))."""
+    and row 2 nf + 2 + j is min(p_j + eps, max(p_j, p_{j+1})).  At t = 0
+    the strips have no width: the initial data is not regularized."""
     nf = len(fronts)
     ends = np.empty((nf + 2 if eps is None else 3 * nf + 2, len(tn)))
     ends[0], ends[nf + 1] = x_lo, x_hi
@@ -268,6 +267,7 @@ def _end_table(fronts, tn, x_lo: float, x_hi: float, eps=None):
         ends[j + 1] = f.geom.pos(tn)
     if eps is not None:
         p, before, after = ends[1:nf + 1], ends[:nf], ends[2:nf + 2]
+        eps = eps * (tn > 0.0)
         np.maximum(p - eps, before, out=ends[nf + 2:2 * nf + 2])
         np.minimum(p + eps, np.maximum(p, after), out=ends[2 * nf + 2:])
     return ends
@@ -364,6 +364,10 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     x-integrals sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a) on its rows
     with r_b > r_a; a node piece folds the t-weights into its node weights.
 
+    The initial term is the t = 0 edge of that integral: a row at t = 0 in
+    epoch 0's group, with phi_t weight phi's t-factor at 0 and phi_x weight
+    0.  Where ``_time_cells`` leaves epoch 0 no cell, it is a group alone.
+
     The last component is v's and may carry the solution's delta atoms.  With
     ``atoms`` they enter as measures: per atom front the line integral of
     alpha phi_t + m phi_x with the split-product flux
@@ -379,10 +383,13 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     x_lo, x_hi = phi.xc - phi.sx, phi.xc + phi.sx
     R = [0.0] * len(laws)
     cells = _time_cells(sol, t_lo, t_hi, x_lo, x_hi, eps) if t_hi > t_lo else []
+    if phi.tc - phi.st < 0.0 < t_hi:
+        cells.insert(0, (0.0, 0.0))          # the initial term's row
     for ep, group in groupby(cells, lambda c: sol.epoch_at(0.5 * (c[0] + c[1]))):
         tn, tw = [], []
         for a, b in group:
-            xi, wxi = _composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
+            xi, wxi = (_composite01(max(4, _panels_for(b - a, phi.st)), _ORDER)
+                       if b > 0.0 else _gl(1))  # (0, 0): one node, weight 0
             tn.append(a + (b - a) * xi)
             tw.append((b - a) * wxi)
         tn, tw = np.concatenate(tn), np.concatenate(tw)
@@ -395,6 +402,8 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
         dbt *= rt
         dbt *= tw
         dbt /= phi.st
+        if tn[0] == 0.0:  # the t = 0 row: phi_t weight phi's t-factor at 0
+            dbt[0] = s[0] ** _BUMP_POW       # (its phi_x weight bt is 0)
         fronts = [sol.fronts[f] for f in ep.fronts]
         ends = _end_table(fronts, tn, x_lo, x_hi, eps)
         r, s, P, Q = phi._x_factors(ends)
@@ -447,25 +456,6 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
                      + alpha * (1.0 - w0) * (uR - 1.0))
                 db = -2.0 * _BUMP_POW / phi.sx * r[j] * s[j] ** (_BUMP_POW - 1)
                 R[-1] += float(np.dot(alpha * Q[j], dbt) + np.dot(m * db, bt))
-    if phi.tc - phi.st < 0.0 < t_hi:         # the initial term, at t = 0
-        ep = sol.epochs[0]
-        fronts = [sol.fronts[f] for f in ep.fronts]
-        t0 = np.zeros(1)
-        ends = _end_table(fronts, t0, x_lo, x_hi)
-        r, _, P, Q = phi._x_factors(ends)
-        b0 = float(phi._bump(-phi.tc / phi.st))
-        for _, ab, x, w, u, v in _slabs(sol, ep, fronts, ends, t0, x_lo,
-                                        x_hi, lambda *_: 6, _ORDER):
-            if x is None:
-                p0 = phi.sx * (P[ab[1]] - P[ab[0]]) * (r[ab[1]] > r[ab[0]])
-            else:
-                p0 = w * phi._bump((x - phi.xc) / phi.sx)
-            for i, law in enumerate(laws):
-                R[i] += b0 * float(np.sum(law(u, v)[0] * p0))
-        if atoms:
-            R[-1] += b0 * sum(float(f.strength(0.0)) * float(Q[j, 0])
-                              for j, f in enumerate(fronts, 1)
-                              if f.kind.carries_atom)
     return R
 
 
@@ -552,13 +542,12 @@ def mass_balance(sol: Solution, window: tuple[float, float], times) -> float:
 # monitors
 # ---------------------------------------------------------------------------
 
-def overcompressibility_report(sol: Solution, samples: int = 200,
-                               t_cap: Optional[float] = None):
+def overcompressibility_report(sol: Solution, samples: int = 200):
     """Per delta-shock front: minimum margins of u_R <= cdot <= u_L - 1.
 
     Returns a list of (front id, min(cdot - u_R), min(u_L - 1 - cdot)).
     """
-    cap = t_cap if t_cap is not None else max(sol.t_max_computed, 1.0)
+    cap = max(sol.t_max_computed, 1.0)
     out = []
     for f in sol.fronts.values():
         if f.kind is not FrontKind.DELTA_SHOCK:
@@ -584,10 +573,9 @@ class EntropyPair:
     rejected.
     """
 
-    def __init__(self, f: Callable, g: Callable, ftilde: Callable,
-                 check_range=(-4.0, 4.0)):
+    def __init__(self, f: Callable, g: Callable, ftilde: Callable):
         self.f, self.g, self.ftilde = f, g, ftilde
-        lo, hi = check_range
+        lo, hi = -4.0, 4.0
         xs = np.linspace(lo, hi, 41)
         h = (hi - lo) / 200.0
         for fn, name in ((f, "f"), (g, "g")):
@@ -607,32 +595,20 @@ class EntropyPair:
 
 def polynomial_pair(f_coeffs, g_coeffs) -> EntropyPair:
     """Entropy pair from polynomial f and g (ascending coefficients);
-    ftilde is computed termwise from ftilde' = f' - f."""
-    f_coeffs = np.asarray(f_coeffs, dtype=float)
-    g_coeffs = np.asarray(g_coeffs, dtype=float)
-
-    def f(u):
-        return np.polynomial.polynomial.polyval(np.asarray(u, float), f_coeffs)
-
-    def g(m):
-        return np.polynomial.polynomial.polyval(np.asarray(m, float), g_coeffs)
-
-    ft = np.zeros(len(f_coeffs) + 1)
-    for k, a in enumerate(f_coeffs):
-        ft[k] += a
-        ft[k + 1] -= a / (k + 1.0)
-
-    def ftilde(u):
-        return np.polynomial.polynomial.polyval(np.asarray(u, float), ft)
-
-    return EntropyPair(f, g, ftilde)
+    ftilde = f - int_0^u f solves ftilde' = f' - f."""
+    polyval = np.polynomial.polynomial.polyval
+    f = np.polynomial.Polynomial(np.asarray(f_coeffs, dtype=float))
+    return EntropyPair(*(lambda u, c=c: polyval(np.asarray(u, float), c)
+                         for c in (f.coef, np.asarray(g_coeffs, dtype=float),
+                                   (f - f.integ()).coef)))
 
 
 def entropy_residual(sol: Solution, pair: EntropyPair, phi: TestFunction,
                      eps: Optional[float] = None) -> float:
     """int eta phi_t + q phi_x (+ initial-data term with the function part
     of v) with every delta atom replaced by the two-sided strips of width
-    eps and height alpha/(2 eps).
+    eps and height alpha/(2 eps); the strips start at no width at t = 0, so
+    the initial-data term pairs the unregularized v.
 
     Smooth exact regions contribute zero; admissible shocks contribute
     nonnegatively for phi >= 0; for a regularized delta contact the residual
@@ -661,17 +637,20 @@ class OracleRun:
     t_end: float
     end_kind: str            # "bifurcation" | "merged-out"
 
-    def traj(self, t):
+    def _segment(self, t):
+        """Per time, its segment's index and the time since its start."""
         t = np.asarray(t, dtype=float)
         k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
                     len(self.times) - 1)
-        return self.xs[k] + self.speeds[k] * (t - self.times[k])
+        return k, t - self.times[k]
+
+    def traj(self, t):
+        k, dt = self._segment(t)
+        return self.xs[k] + self.speeds[k] * dt
 
     def strength(self, t):
-        t = np.asarray(t, dtype=float)
-        k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0,
-                    len(self.times) - 1)
-        return self.gammas[k] + self.rates[k] * (t - self.times[k])
+        k, dt = self._segment(t)
+        return self.gammas[k] + self.rates[k] * dt
 
 
 def fan_approx_oracle(sc: Scenario, n: int) -> OracleRun:
@@ -739,8 +718,7 @@ def fan_approx_oracle(sc: Scenario, n: int) -> OracleRun:
                      t_end, end_kind)
 
 
-def compare_oracle(sol: Solution, orun: OracleRun,
-                   samples: int = 400) -> tuple[float, float]:
+def compare_oracle(sol: Solution, orun: OracleRun) -> tuple[float, float]:
     """Sup-norm trajectory and strength differences between the oracle's
     approximate delta front and the exact fan-interior delta front, over the
     common part of the fan-crossing interval."""
@@ -752,7 +730,7 @@ def compare_oracle(sol: Solution, orun: OracleRun,
     t1 = min(exact.death, orun.t_end)
     if not (t1 > t0):
         raise ValueError("no overlap between oracle and exact fan intervals")
-    ts = np.linspace(t0, t1 * (1.0 - 1e-12), samples)
+    ts = np.linspace(t0, t1 * (1.0 - 1e-12), 400)
     traj_err = np.max(np.abs(orun.traj(ts) - exact.geom.pos(ts)))
     alpha_err = np.max(np.abs(orun.strength(ts) - exact.strength(ts)))
     return float(traj_err), float(alpha_err)

@@ -206,10 +206,15 @@ def test_oracle_outside_fan_cases_exits_2(case1_file, tmp_path, capsys):
 
 
 def test_verify_rejects_zero_tests(case1_file, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["verify", str(case1_file), "--tests", "0"])
-    assert exc.value.code == 2
-    assert "--tests" in capsys.readouterr().err
+    # and every other bad count, seed or tolerance, before any work
+    for flag, value in (("--tests", "0"), ("--tests", "2.5"), ("--seed", "-1"),
+                        ("--seed", "x"), ("--tol", "nan"), ("--tol", "-1e-6"),
+                        ("--tol", "inf")):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", str(case1_file), flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {flag}:" in err and "Traceback" not in err
 
 
 def test_solve_outputs_deterministic(case1_file, tmp_path):

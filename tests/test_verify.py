@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 from itertools import groupby
 
@@ -211,9 +212,53 @@ def test_entropy_strips_overlap_between_merging_deltas():
         ref, rel=1e-9)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-2])
+@pytest.mark.parametrize("name", ["case1", "case3", "case4i", "case5_bif_left"])
+def test_entropy_residual_over_a_delta_birth(name, eps):
+    # the support covers t = 0 with an atom front inside; the strips have
+    # no width at t = 0, so the initial term pairs the unregularized data
+    sol = run(BATTERY[name])
+    pair = V.polynomial_pair([0, 0, 1], [0, 0, 1])
+    entropy = (lambda u, v: (pair.eta(u, v), pair.q(u, v)),)
+    births = [float(f.geom.pos(0.0)) for f in sol.fronts.values()
+              if f.kind.carries_atom and f.birth == 0.0]
+    assert births
+    for x0 in births:
+        phi = V.TestFunction(0.05, x0 + 0.1, 0.1, 0.4)
+        (ref,) = _per_cell_pairing(sol, phi, entropy, eps=eps)
+        assert V.entropy_residual(sol, pair, phi, eps=eps) == pytest.approx(
+            ref, rel=1e-9)
+
+
+@pytest.mark.parametrize("name, scale", [
+    ("case1", 1e-17), ("case4iia", 1e-17), ("case5_bif_left", 1e-17),
+    ("case4iia", 2e-15), ("case5_bif_left", 1e-16)])
+def test_initial_term_when_epoch_0_has_no_time_cell(name, scale):
+    # with the offset scaled down, the first events come before the end of
+    # the shortest time cell, so epoch 0 has none: the t = 0 row is a group
+    # of its own, on epoch 0's fronts.  At the larger scales the first cell
+    # lies in the epoch of a SqrtCurve delta or a LogCurve contact, which
+    # warn at t = 0
+    sc = BATTERY[name]
+    sol = run(replace(sc, offset=sc.offset * scale))
+    weak = (lambda u, v: (u, 0.5 * u * u), lambda u, v: (v, (u - 1.0) * v))
+    phis = [phi for phi in V.random_test_functions(sol, 200, seed=20240801)
+            if phi.tc - phi.st < 0.0]
+    assert len(phis) >= 20
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for phi in phis:
+            (a, b), *_ = V._time_cells(sol, 0.0, phi.tc + phi.st,
+                                       phi.xc - phi.sx, phi.xc + phi.sx)
+            assert sol.epoch_at(0.5 * (a + b)) is not sol.epochs[0]
+            ref = _per_cell_pairing(sol, phi, weak, atoms=True)
+            assert V.weak_residual(sol, phi) == pytest.approx(
+                ref, rel=0.0, abs=1e-13)
+
+
 def test_one_bump_table_per_epoch_group(battery_pairs, monkeypatch):
     # a group evaluates the bump's antiderivative once, on its end table,
-    # and the initial term once more; never once per piece
+    # the initial term included; never once per piece
     calls = []
     bump_integral = V.TestFunction._bump_integral
 
@@ -230,7 +275,6 @@ def test_one_bump_table_per_epoch_group(battery_pairs, monkeypatch):
                                   phi.xc + phi.sx)
             groups += len(list(groupby(cells, lambda c: sol.epoch_at(
                 0.5 * (c[0] + c[1])))))
-            groups += phi.tc - phi.st < 0.0
             V.weak_residual(sol, phi)
     assert groups > 2000 and len(calls) == groups
 
