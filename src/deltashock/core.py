@@ -8,8 +8,8 @@ laws for delta atoms, closed-form field laws for regions, and the event-graph
 
 Float/array contract.  The geometries (``Line``, ``SqrtCurve``,
 ``LogCurve``), the strength laws, the point laws ``ConstLaw``, ``FanU`` and
-``FanExpV``, the post-breakdown profiles ``WStraightV``, ``WCurvedV`` and
-``WTildeCurvedV`` (value, ``from_distance`` and ``singular_locus``), their
+``FanExpV`` (and ``of_u``), the post-breakdown profiles ``WStraightV``,
+``WCurvedV`` and ``WTildeCurvedV`` (value and every method), their
 back-trace root ``_curved_s`` with its Halley iteration ``_halley``,
 ``split_weight`` and ``Front.u_traces``/``Front.atom`` take a time (and
 position) either as a float, and then return a Python float computed in
@@ -246,11 +246,9 @@ class TabulatedStrength(StrengthLaw):
     gamma0: float
 
     def _fan_trace(self, ry):
-        # one exponent, the fan-side trace minus u_ref, which is <= 0 in
-        # the fan; the factors v_ref e^(u_k - u_ref) and e^(K/ry) apart
-        # overflow for |u| ~ 1e3
-        c = self.curve
-        return self.fan_v.v_ref * _np(np.exp, c.u_k + _div(c.K, ry) - self.fan_v.u_ref)
+        # one exponent, the fan-side u minus u_ref, <= 0 in the fan: the
+        # factors v_ref e^(u_k - u_ref) and e^(K/ry) overflow for |u| ~ 1e3
+        return self.fan_v.of_u(self.curve.u_k + _div(self.curve.K, ry))
 
     def __call__(self, t):
         t = _arg(t)
@@ -282,7 +280,9 @@ class FieldLaw:
     """Closed-form evaluator for one field over one region.
 
     ``singular_left`` marks laws that blow up (exponent -1/2 in distance)
-    at the region's left boundary; quadrature grades accordingly.
+    at the region's left boundary, ``singular_locus``.  Quadrature runs in
+    their own coordinate q, in which v dx is analytic: ``coord(d, t)`` is q
+    at distance d past the locus, ``from_coord(q, t)`` is (d, dd/dq, v).
     """
 
     singular_left: bool = False
@@ -322,9 +322,11 @@ class FanExpV(FieldLaw):
     tc: float = 0.0
     xc: float = 0.0
 
+    def of_u(self, u):  # v where the fan's u is u, with the point law's bits
+        return self.v_ref * _np(np.exp, u - self.u_ref)
+
     def __call__(self, x, t):
-        return self.v_ref * _np(np.exp, _div(_arg(x) - self.xc, _arg(t) - self.tc)
-                                - self.u_ref)
+        return self.of_u(_div(_arg(x) - self.xc, _arg(t) - self.tc))
 
 
 _MARKER_TOL = 1e-12
@@ -356,11 +358,17 @@ class WStraightV(FieldLaw):
         return (self.u0 - 1.0) * _arg(t) + self.y_edge
 
     def from_distance(self, d, t):
-        """Evaluate from the exact distance d > 0 past the delta contact
-        (cancellation-free path used by graded quadrature)."""
+        """The value at the exact distance d > 0 past the delta contact."""
         r = _sqrt(_arg(d))
         return (1.0 + _div(2.0 * self.B, r)) * self.v_ref * _np(
             np.exp, self.u0 - _div(2.0 * self.B, self.B + r) - self.u_ref)
+
+    def coord(self, d, t):  # q = sqrt(d)
+        return _sqrt(_arg(d))
+
+    def from_coord(self, q, t):
+        q = _arg(q)
+        return q * q, 2.0 * q, self.from_distance(q * q, t)
 
     def __call__(self, x, t):
         x, ut = _arg(x), (self.u0 - 1.0) * _arg(t)
@@ -463,8 +471,30 @@ def _curved_value(g0, t, B, v2, s_upper):
     return _where(bad, math.copysign(INF, v2), val)
 
 
+class _CurvedProfile(FieldLaw):
+    """The quadrature coordinate of the curved profiles: the back-trace root
+    s of ``_curved_s``, where g0 = 2 log1p(s/B) - 2s/(B + s) and
+    v dx = 2 v2 (2B + s) ds.  A profile maps a distance d past its contact
+    to g0 and the time T of its value (``_g0_of``), and g0 back to d and T
+    (``_d_of``); then dd/ds = T dg0/ds."""
+
+    singular_left = True
+
+    def coord(self, d, t):  # the root s, 0 on the contact
+        g0, T = self._g0_of(_arg(d), _arg(t))
+        s, bad = _curved_s(g0, self.B, _sqrt(T) - self.B)
+        return _where(bad, 0.0, s)
+
+    def from_coord(self, s, t):
+        s, B = _arg(s), self.B
+        q = B + s
+        d, T = self._d_of(2.0 * _np(np.log1p, _div(s, B)) - _div(2.0 * s, q), _arg(t))
+        dd = T * _div(2.0 * s, q * q)
+        return d, dd, _div(2.0 * self.v2 * (2.0 * B + s), dd)
+
+
 @dataclass(frozen=True)
-class WCurvedV(FieldLaw):
+class WCurvedV(_CurvedProfile):
     """Post-breakdown profile inside a fan, between the delta contact (a
     log characteristic) and the shock (the sqrt curve).
 
@@ -479,15 +509,19 @@ class WCurvedV(FieldLaw):
     v2: float
     u2: float
 
-    singular_left = True
-
     def singular_locus(self, t):
         t = _arg(t)
         return t * (self.u2 + 2.0 + _np(np.log, self.B * self.B) - _np(np.log, t))
 
+    def _g0_of(self, d, t):
+        return _div(d, t), t
+
+    def _d_of(self, g0, t):
+        return t * g0, t
+
     def from_distance(self, d, t):
-        t = _arg(t)
-        return _curved_value(_div(_arg(d), t), t, self.B, self.v2, _sqrt(t) - self.B)
+        g0, t = self._g0_of(_arg(d), _arg(t))
+        return _curved_value(g0, t, self.B, self.v2, _sqrt(t) - self.B)
 
     def __call__(self, x, t):
         x, t = _arg(x), _arg(t)
@@ -497,7 +531,7 @@ class WCurvedV(FieldLaw):
 
 
 @dataclass(frozen=True)
-class WTildeCurvedV(FieldLaw):
+class WTildeCurvedV(_CurvedProfile):
     """Curved profile prolonged across the fan edge x = u0 t into the
     constant-u0 region: constant along lines of slope u0 - 1 (u is constant
     there), matched to the in-fan profile where the carrying line meets the
@@ -509,8 +543,6 @@ class WTildeCurvedV(FieldLaw):
     v2: float
     u2: float
 
-    singular_left = True
-
     @property
     def t_exit(self):
         # time at which the carrying delta contact crossed the fan edge
@@ -520,11 +552,16 @@ class WTildeCurvedV(FieldLaw):
         # the continued contact line of slope u0 - 1 through (t_exit, u0 t_exit)
         return self.t_exit + (self.u0 - 1.0) * _arg(t)
 
-    def from_distance(self, d, t):
+    def _g0_of(self, d, t):
         # d is measured from the continued contact line; there t_hat = t_exit
-        d, te = _arg(d), self.t_exit
-        th = te + d
-        g0 = _np(np.log1p, _div(d, te))
+        return _np(np.log1p, _div(d, self.t_exit)), self.t_exit + d
+
+    def _d_of(self, g0, t):
+        d = self.t_exit * _np(np.expm1, g0)
+        return d, self.t_exit + d
+
+    def from_distance(self, d, t):
+        g0, th = self._g0_of(_arg(d), t)
         return _curved_value(g0, th, self.B, self.v2, _sqrt(th) - self.B)
 
     def __call__(self, x, t):

@@ -21,6 +21,7 @@ import numpy as np
 
 from .core import (
     ConstLaw,
+    FanExpV,
     FrontKind,
     INF,
     Line,
@@ -229,29 +230,12 @@ def _time_cells(sol: Solution, t_lo: float, t_hi: float, x_lo: float,
     return [(a, b) for a, b in zip(cs, cs[1:]) if b - a > 1e-15 * (1.0 + abs(b))]
 
 
-def _x_nodes(lo, hi, panels, order, off=None):
-    """Per-row x quadrature nodes/weights for rows of intervals [lo_i, hi_i].
-
-    With ``off`` (per-row distance from lo to the v-law's singular locus),
-    integration runs in s = sqrt(x - locus) over [sqrt(off), sqrt(off + w)],
-    which turns the -1/2-power blow-up into an analytic integrand; the exact
-    distances s^2 are returned so singular laws evaluate cancellation-free.
-    """
+def _x_nodes(lo, hi, panels, order):
+    """Per-row quadrature nodes/weights for rows of intervals [lo_i, hi_i],
+    in x or in a singular v-law's coordinate (see ``_slabs``)."""
     xi, wxi = _composite01(panels, order)
     w = hi - lo
-    if off is not None:
-        locus = lo - off
-        smin = np.sqrt(np.maximum(off, 0.0))
-        smax = np.sqrt(np.maximum(off + w, 0.0))
-        span = smax - smin
-        s = smin[:, None] + span[:, None] * xi[None, :]
-        d = s * s
-        x = locus[:, None] + d
-        wts = 2.0 * s * span[:, None] * wxi[None, :]
-        return x, wts, d
-    x = lo[:, None] + w[:, None] * xi[None, :]
-    wts = w[:, None] * wxi[None, :]
-    return x, wts, None
+    return lo[:, None] + w[:, None] * xi[None, :], w[:, None] * wxi[None, :]
 
 
 def _end_table(fronts, tn, x_lo: float, x_hi: float, eps=None):
@@ -288,10 +272,13 @@ def _slabs(sol: Solution, ep, fronts, ends, tn, x_lo: float, x_hi: float,
     and v a float or per-row.  Every other piece has x nodes: ``rows`` are
     its non-empty rows in ``tn``, ``ends`` is None, x and wx the nodes and
     weights (``panels(a, b, t, u_law)`` panels of ``order`` points, from
-    the rows' ends a, b, times t and the region's u-law), u and v the
-    fields there.  A node piece comes in blocks of whole rows, at most
+    the rows' ends a, b, times t and the region's u-law; a singular v-law's
+    lie in its coordinate, see ``FieldLaw``, which takes one root per row
+    end for the curved profiles), u and v the fields there (a fan's v from
+    its u).  A node piece comes in blocks of whole rows, at most
     ``_NODE_BLOCK`` nodes each unless one row alone has more, so the arrays
     of a long run of time nodes stay small; a block changes no row's nodes.
+    A strip or node piece with no row of positive width is skipped.
     """
     nf = len(fronts)
     for k, rid in enumerate(ep.regions):
@@ -307,40 +294,46 @@ def _slabs(sol: Solution, ep, fronts, ends, tn, x_lo: float, x_hi: float,
                 pieces.append((hi, k + 1, fronts[k]))
         pieces.append((lo, hi, None))
         for ia, ib, owner in pieces:
-            if flat_u and (owner is not None or isinstance(reg.v_law, ConstLaw)):
-                v = (reg.v_law.value if owner is None
-                     else owner.strength(tn) / (2.0 * eps))
-                yield slice(None), (ia, ib), None, None, reg.u_law.value, v
+            if flat_u and owner is None and isinstance(reg.v_law, ConstLaw):
+                yield (slice(None), (ia, ib), None, None, reg.u_law.value,
+                       reg.v_law.value)
                 continue
             a, b = np.maximum(ends[ia], x_lo), np.minimum(ends[ib], x_hi)
             rows = np.flatnonzero(b - a > 0.0)
             if not len(rows):
                 continue
+            if flat_u and owner is not None:     # a strip: alpha/(2 eps) per row
+                v = owner.strength(tn) / (2.0 * eps)
+                yield slice(None), (ia, ib), None, None, reg.u_law.value, v
+                continue
             a, b, t = a[rows], b[rows], tn[rows]
-            off = None
-            if owner is None and reg.v_law.singular_left:
-                # distance to the blow-up locus; noise-level offsets snap to
-                # zero, since sqrt() in the graded parametrization would turn
-                # 1e-15 of position round-off into a missing boundary sliver
-                # of visible mass ~ sqrt(1e-15)
-                locus = reg.v_law.singular_locus(t)
+            n = panels(a, b, t, reg.u_law)
+            law = reg.v_law if owner is None and reg.v_law.singular_left else None
+            if law is not None:
+                # distance past the blow-up locus; noise-level offsets snap to
+                # zero, or the coordinate, sqrt-like there, would turn 1e-15 of
+                # round-off into a missing sliver of visible mass ~ sqrt(1e-15)
+                locus = law.singular_locus(t)
                 off = a - locus
                 off[off < 1e-11 * (1.0 + np.abs(locus))] = 0.0
-            n = panels(a, b, t, reg.u_law)
+                locus = a - off
+                a, b = law.coord(off, t), law.coord(off + (b - a), t)
             step = max(1, _NODE_BLOCK // (n * order))
             for i in range(0, len(t), step):
                 blk = slice(i, i + step)
-                x, wx, dist = _x_nodes(a[blk], b[blk], n, order,
-                                       None if off is None else off[blk])
-                tt = t[blk, None]
-                u = reg.u_law(x, tt)
+                x, wx = _x_nodes(a[blk], b[blk], n, order)
+                if law is not None:              # x, wx were q, dq
+                    x, dd, v = law.from_coord(x, t[blk, None])
+                    x += locus[blk, None]
+                    wx *= dd
+                u = reg.u_law(x, t[blk, None])
                 if owner is not None:
                     v = np.broadcast_to(owner.strength(t[blk])[:, None]
                                         / (2.0 * eps), x.shape)
-                elif dist is not None:
-                    v = reg.v_law.from_distance(dist, tt)
-                else:
-                    v = reg.v_law(x, tt)
+                elif isinstance(reg.v_law, FanExpV):
+                    v = reg.v_law.of_u(u)
+                elif law is None:
+                    v = reg.v_law(x, t[blk, None])
                 yield rows[blk], None, x, wx, u, v
 
 
@@ -362,7 +355,8 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     group evaluates with its antiderivative P once, on its ``_end_table``
     at r clipped to [-1, 1].  A flat piece (see ``_slabs``) has the exact
     x-integrals sx [P(r_b) - P(r_a)] and bump(r_b) - bump(r_a) on its rows
-    with r_b > r_a; a node piece folds the t-weights into its node weights.
+    with r_b > r_a, and is skipped if it has none; a node piece builds its
+    weights from one factor s^7 wx, by squaring, and per-row t-weights.
 
     The initial term is the t = 0 edge of that integral: a row at t = 0 in
     epoch 0's group, with phi_t weight phi's t-factor at 0 and phi_x weight
@@ -375,7 +369,8 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
     term.  A group integrates a front's line integral only if the bump's
     x-factor, read from the front's row of the table, is nonzero at some of
     its time nodes; otherwise the integrand is exactly zero, and the front's
-    traces, strength and split are never evaluated.  With ``eps`` the atoms
+    traces, strength and split are never evaluated; a straight front between
+    constant u has its traces and split as floats.  With ``eps`` the atoms
     are spread over strips beside their fronts (see ``_slabs``).  With
     neither, an atom front inside the support is an error.
     """
@@ -397,6 +392,7 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
         s = _bump_base(rt)
         bt = s ** _BUMP_POW                  # weights of the phi_x terms
         bt *= tw
+        btx = bt * (-2.0 * _BUMP_POW / phi.sx)  # times bump'(r)/(r s^7)
         rt *= -2.0 * _BUMP_POW               # weights of the phi_t terms
         dbt = s ** (_BUMP_POW - 1)
         dbt *= rt
@@ -418,6 +414,8 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             if x is None:
                 ia, ib = ab
                 nonempty = r[ib] > r[ia]
+                if not nonempty.any():
+                    continue
                 ix, jx = (P[ib] - P[ia]) * nonempty, (Q[ib] - Q[ia]) * nonempty
                 if isinstance(v, np.ndarray):  # a strip: alpha/(2 eps) per row
                     for i, law in enumerate(laws):
@@ -433,15 +431,16 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             rx = x - phi.xc
             rx /= phi.sx
             sn = _bump_base(rx)
-            s7 = sn ** (_BUMP_POW - 1)
-            bx = s7 * sn                         # phi_t weights at the nodes
-            bx *= wx
+            s2 = sn * sn                         # g = s^7 wx, by squaring
+            g = s2 * s2
+            g *= s2
+            g *= sn
+            g *= wx
+            bx = g * sn                          # phi_t weights at the nodes
             bx *= dbt[rows, None]
             dbx = rx                             # phi_x weights, rx in place
-            dbx *= -2.0 * _BUMP_POW / phi.sx
-            dbx *= s7
-            dbx *= wx
-            dbx *= bt[rows, None]
+            dbx *= g
+            dbx *= btx[rows, None]
             for i, law in enumerate(laws):
                 rho, flux = law(u, v)
                 R[i] += float(np.vdot(bx, rho) + np.vdot(dbx, flux))
@@ -449,9 +448,11 @@ def _pairing(sol: Solution, phi: TestFunction, laws, eps: Optional[float] = None
             for j, f in enumerate(fronts, 1):
                 if not (f.kind.carries_atom and s[j].any()):
                     continue  # the front stays outside the support
-                uL, uR = f.u_traces(tn)
+                tq = tn[0] if isinstance(f.geom, Line) and all(
+                    isinstance(law, ConstLaw) for law in f.u_laws) else tn
+                uL, uR = f.u_traces(tq)
                 alpha = f.strength(tn)
-                w0 = split_weight(uL, uR, f.geom.slope(tn))
+                w0 = split_weight(uL, uR, f.geom.slope(tq))
                 m = (alpha * w0 * (uL - 1.0)
                      + alpha * (1.0 - w0) * (uR - 1.0))
                 db = -2.0 * _BUMP_POW / phi.sx * r[j] * s[j] ** (_BUMP_POW - 1)

@@ -180,6 +180,7 @@ def test_float_path_matches_array_path(tc, xc, u_k, K, C, v_ref, u_ref, v_k,
         _float_path_matches(f, ts)
     for law in (ConstLaw(v_k), fan_u, fan_v):
         _float_path_matches(law, xs, ts + ts)
+    _float_path_matches(fan_v.of_u, ws)
     _float_path_matches(split_weight, xs[:len(ts)], ys + [u_k, v_k], ts)
     for geom, u_laws in ((sq, (ConstLaw(u_ref), fan_u)),
                          (Line(t0, xc, K), (fan_u, ConstLaw(u_k)))):
@@ -200,11 +201,31 @@ def test_float_path_matches_array_path(tc, xc, u_k, K, C, v_ref, u_ref, v_k,
         xw = [c + r * (1.0 + abs(c)) for c, r in zip(locus, rel)]
         _float_path_matches(law, xw, tw)
         _float_path_matches(law.from_distance, [r * t for r, t in zip(rel, tw)], tw)
+        # the quadrature coordinate: q of a distance, and (d, dd/dq, v) of a q
+        # from 0 (the locus) to past the shock, and below 0
+        _float_path_matches(law.coord, [r * t for r, t in zip(rel, tw)], tw)
+        for k in range(3):
+            _float_path_matches(lambda q, t: law.from_coord(q, t)[k],
+                                [r * B for r in rel], tw)
     _float_path_matches(lambda g0, t, s_up: _curved_value(g0, t, B, v_ref, s_up),
                         [r * (1.0 + abs(w)) for r, w in zip(rel, ws)], tw,
                         [math.sqrt(t) - B for t in tw])
     _float_path_matches(lambda L, g: _halley(L, g, sigma), [w / 10.0 for w in ws],
                         [r * abs(w) for r, w in zip(rel, ws)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(tc=_MAG, xc=_MAG, v_ref=_MAG, u_ref=_MAG,
+       ts=st.lists(_MAG, min_size=1, max_size=12),
+       xs=st.lists(_MAG, min_size=12, max_size=12))
+def test_fan_v_of_u_is_the_point_law(tc, xc, v_ref, u_ref, ts, xs):
+    # a fan's v from its u has the point law's bits, on floats and arrays
+    u_law, v_law = FanU(tc, xc), FanExpV(v_ref, u_ref, tc, xc)
+    xs = xs[:len(ts)]
+    with np.errstate(all="ignore"):
+        for x, t in [*zip(xs, ts), (np.array(xs), np.array(ts))]:
+            got = np.asarray(v_law.of_u(u_law(x, t)))
+            assert got.tobytes() == np.asarray(v_law(x, t)).tobytes()
 
 
 def test_curved_root_matches_mpmath():

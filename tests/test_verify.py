@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 from deltashock.battery import BATTERY
-from deltashock.core import ConstLaw, FieldLaw, State, split_weight
+from deltashock import core
+from deltashock.core import (ConstLaw, FieldLaw, State, WCurvedV, WTildeCurvedV,
+                             split_weight)
 from deltashock.evaluate import atoms_at
 from deltashock.interact import fan_solution, run
 from deltashock import verify as V
@@ -294,6 +296,71 @@ def test_node_blocks_stay_bounded(battery_pairs, monkeypatch):
         for phi in V.random_test_functions(sol, 200, seed=20240801):
             V.weak_residual(sol, phi)
     assert sizes and max(sizes) <= V._NODE_BLOCK
+
+
+CURVED = ("case5_bif_left", "case5_bif_mid")
+
+
+@pytest.mark.parametrize("name", CURVED)
+def test_mass_balance_after_breakdown(name):
+    # the first times after the breakdown at t = 2 find the curved region
+    # thin; integrated in its back-trace root, its mass is exact
+    sol = run(BATTERY[name])
+    t_hi = min(sol.t_max_computed, 5.0)
+    times = np.linspace(1e-3, t_hi, 11)
+    assert V.mass_balance(sol, V.auto_window(sol, t_hi), times) <= 1e-13
+
+
+@pytest.mark.parametrize("name", CURVED)
+def test_curved_row_integrates_v_in_closed_form(name):
+    # in the back-trace root s, v dx = 2 v2 (2B + s) ds: one row of a curved
+    # piece integrates v to v2 (4B s + s^2) between its ends' coordinates
+    sol = run(BATTERY[name])
+    seen = set()
+    for ep in sol.epochs:
+        t = ep.t0 + 0.5 * (min(ep.t1, 2.0 * ep.t0 + 1.0) - ep.t0)
+        fronts = [sol.fronts[f] for f in ep.fronts]
+        tn = np.array([t])
+        pos = [float(f.geom.pos(t)) for f in fronts]
+        x_lo, x_hi = min(pos) - 1.0, max(pos) + 1.0
+        ends = V._end_table(fronts, tn, x_lo, x_hi)
+        for k, rid in enumerate(ep.regions):
+            law = sol.regions[rid].v_law
+            if not isinstance(law, (WCurvedV, WTildeCurvedV)):
+                continue
+            pieces = [p for p in V._slabs(sol, ep, fronts, ends, tn, x_lo, x_hi,
+                                          V._mass_panels, V._MASS_ORDER)
+                      if p[2] is not None and p[2][0, 0] > ends[k, 0]
+                      and p[2][0, -1] < ends[k + 1, 0]]
+            (_, _, x, wx, _, v), = pieces
+            q = law.coord(ends[k:k + 2, 0] - law.singular_locus(t), t)
+            exact = law.v2 * np.diff(4.0 * law.B * q + q * q)[0]
+            assert float(np.sum(wx * v)) == pytest.approx(exact, rel=1e-14)
+            seen.add(type(law))
+    assert seen == {WCurvedV, WTildeCurvedV}
+
+
+def test_curved_roots_only_at_row_ends(battery_pairs, monkeypatch):
+    # the curved profiles' back-trace root runs on the two ends of each row
+    # of a node piece, never on its nodes: their own closed form gives d and v
+    sizes, dims, rows = [], set(), []
+    curved_s = core._curved_s
+
+    def root(g0, *args):
+        sizes.append(np.size(g0))
+        dims.add(np.ndim(g0))
+        return curved_s(g0, *args)
+
+    monkeypatch.setattr(core, "_curved_s", root)
+    for cls in (WCurvedV, WTildeCurvedV):
+        def from_coord(self, s, t, _orig=cls.from_coord):
+            rows.append(np.shape(s)[0])
+            return _orig(self, s, t)
+        monkeypatch.setattr(cls, "from_coord", from_coord)
+    for sol, _ in battery_pairs.values():
+        for phi in V.random_test_functions(sol, 200, seed=20240801):
+            V.weak_residual(sol, phi)
+    assert rows and sum(sizes) == 2 * sum(rows) and dims == {1}
 
 
 def _atom_fronts_met(sol, phi):
