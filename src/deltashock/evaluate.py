@@ -1,15 +1,14 @@
 """Sampling of a Solution: u, the regular part of v, and the delta atoms
 alive at given times with positions, strengths, and splits.
 
-``fields`` takes one of two paths, chosen by ``len(ts)``.  A single time is
-one row: one epoch lookup, the front positions as floats, one gather from
-the epoch's per-region constants, and one call per other law on its own
-points (a lone point as a float) with the time as a float.  A grid of two
-or more times is evaluated with a handful of array operations per epoch,
-one gather for all constant regions and one masked call per other law.
-``atom_table`` evaluates every carrying front once on all the times at
-which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases, so
-a row of the grid is bit-identical to the sample at that time.  A closed
+``fields`` samples by one rule, epoch by epoch: it groups the query times
+by their epoch, locates each point among the epoch's fronts, fills the
+constant regions by one gather from the epoch's per-region values and calls
+every other law once, on the points of its region.  A group of one time
+(every ``sample``) passes that time as a float, and a region's only point
+too.  ``atom_table`` evaluates every carrying front once on all the times
+at which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases,
+so a row of the grid is bit-identical to the sample at that time.  A closed
 form gets one time as a float and several as an array, whichever is
 cheaper, with the same bits either way (see ``core``).
 """
@@ -63,88 +62,65 @@ def _time(t) -> float:
     return t
 
 
-def _row(sol: Solution, t: float, xs):
-    """u and v at the one time t, as two rows of shape (1, len(xs))."""
-    ep = sol.epoch_at(t)
+def _row(sol: Solution, ep, t, xs):
+    """u and v in the epoch ``ep`` at the time t (a float, one row) or the
+    times t (an array, a row each), stacked in shape (2, rows, len(xs))."""
+    one = isinstance(t, float)
     # k counts the fronts at or left of x, then points on the nearest of
-    # them (pos[k], NaN when there is none) move to its left
-    k = np.zeros(len(xs), dtype=np.intp)
-    if ep.fronts:
-        pos = np.array([math.nan] + [sol.fronts[f].geom.pos(t) for f in ep.fronts])
-        snap = _ON_FRONT_TOL * (1.0 + np.abs(pos))
-        k = (pos[1:, None] <= xs).sum(axis=0)
-        k -= np.abs(xs - pos[k]) <= snap[k]
+    # them (pos[near]; row 0 is NaN, for none) move to its left
+    pos = np.array([math.nan * t]
+                   + [sol.fronts[f].geom.pos(t) for f in ep.fronts])
+    snap = _ON_FRONT_TOL * (1.0 + np.abs(pos))
+    k = (pos[1:, ..., None] <= xs).sum(axis=0)
+    near = k if one else (k, np.arange(len(t))[:, None])
+    k -= np.abs(xs - pos[near]) <= snap[near]
     # constant laws by one gather from the epoch's per-region values (as
     # floats: a state may hold ints), every other law once, on the points
-    # of its region
+    # of its region (a region's only point, and its time, as floats)
     laws = ([sol.regions[r].u_law for r in ep.regions],
             [sol.regions[r].v_law for r in ep.regions])
     uv = np.array([[law.value if isinstance(law, ConstLaw) else 0.0 for law in row]
                    for row in laws], dtype=float).take(k, axis=1)
-    for slot in np.bincount(k, minlength=len(ep.regions)).nonzero()[0]:
+    for slot in np.bincount(k.ravel(), minlength=len(ep.regions)).nonzero()[0]:
         calls = [(out, row[slot]) for out, row in zip(uv, laws)
                  if not isinstance(row[slot], ConstLaw)]
         if calls:
-            i = (k == slot).nonzero()[0]
-            x = xs[i] if len(i) > 1 else float(xs[i[0]])
+            at = (k == slot).nonzero()      # (i,) at one time, (j, i) at several
+            x, s = xs[at[-1]], t if one else t[at[0]]
+            if len(x) == 1:
+                x, s = float(x[0]), s if one else float(s[0])
             for out, law in calls:
-                out[i] = law(x, t)
-    return uv[:1], uv[1:]
+                out[at] = law(x, s)
+    return uv[:, None] if one else uv
 
 
 def fields(sol: Solution, ts, xs):
     """u and the regular part of v on the grid ``ts`` x ``xs``.
 
-    Returns two arrays of shape (len(ts), len(xs)), one row per time; a
-    single time takes the one-row path, several the grid path, with the
-    same bits.  Queries within 1e-12 of a front resolve to the left region
-    (documented convention); x = -inf and +inf are in the outer states, and
-    a NaN x raises ``ValueError``.  Points essentially on a singular
-    profile boundary come back as signed infinities, never as silently huge
-    finite numbers.
+    Returns two arrays of shape (len(ts), len(xs)), one row per time.  The
+    rows are grouped by epoch, and each group is located and evaluated in
+    one pass, a group of one time with that time as a float; a row has the
+    same bits in any grid and alone.  Queries within 1e-12 of a front
+    resolve to the left region (documented convention); x = -inf and +inf
+    are in the outer states, and a NaN x raises ``ValueError``.  Points
+    essentially on a singular profile boundary come back as signed
+    infinities, never as silently huge finite numbers.
     """
     ts, tl = _times(ts)
     xs = np.asarray(xs, dtype=float).reshape(-1)
     if np.isnan(xs).any():
         raise ValueError("sampling requires x that is not NaN")
-    if len(tl) == 1:
-        return _row(sol, tl[0], xs)
-    # the region of every point, located epoch by epoch
-    rid = np.empty((len(ts), len(xs)), dtype=np.intp)
-    epochs = {}
+    groups = {}
     for j, t in enumerate(tl):
         ep = sol.epoch_at(t)
-        epochs.setdefault(id(ep), (ep, []))[1].append(j)
-    for ep, rows in epochs.values():
-        idx = np.zeros((len(rows), len(xs)), dtype=np.intp)
-        if ep.fronts:
-            # pos[j, 1 + f]: front f at time j, after a NaN column; idx
-            # counts the fronts at or left of x, then points on the nearest
-            # of them (pos[j, idx], NaN when there is none) move to its left
-            t = ts[rows]
-            pos = np.array([np.full(len(rows), math.nan)]
-                           + [sol.fronts[f].geom.pos(t) for f in ep.fronts]).T
-            idx = (pos[:, 1:, None] <= xs).sum(axis=1)
-            prev = pos[np.arange(len(rows))[:, None], idx]
-            idx -= np.abs(xs - prev) <= _ON_FRONT_TOL * (1.0 + np.abs(prev))
-        rid[rows] = np.array(ep.regions)[idx]
-    # constant laws by one gather from per-region values, every other law
-    # once, on the points of its region
-    u_of, v_of = np.zeros((2, max(sol.regions) + 1))
-    for r, reg in sol.regions.items():
-        for values, law in ((u_of, reg.u_law), (v_of, reg.v_law)):
-            if isinstance(law, ConstLaw):
-                values[r] = law.value
-    u, v = u_of[rid], v_of[rid]
-    for r in np.bincount(rid.ravel()).nonzero()[0]:
-        reg = sol.regions[r]
-        laws = [(out, law) for out, law in ((u, reg.u_law), (v, reg.v_law))
-                if not isinstance(law, ConstLaw)]
-        if laws:
-            j, i = (rid == r).nonzero()
-            for out, law in laws:
-                out[j, i] = law(xs[i], ts[j])
-    return u, v
+        groups.setdefault(id(ep), (ep, []))[1].append(j)
+    uv = np.empty((2, len(tl), len(xs))) if len(groups) != 1 else None
+    for ep, rows in groups.values():
+        part = _row(sol, ep, tl[rows[0]] if len(rows) == 1 else ts[rows], xs)
+        if uv is None:                  # one epoch, its rows in order
+            return part[0], part[1]
+        uv[:, rows] = part
+    return uv[0], uv[1]
 
 
 def atom_table(sol: Solution, ts) -> list:

@@ -137,9 +137,7 @@ _PendingEvent = namedtuple("_PendingEvent", "t x incoming")
 
 
 class _Tracker:
-    def __init__(self, sc: Optional[Scenario], case_id: int, case_label: str):
-        self.sc = sc
-        self.case_id, self.case_label = case_id, case_label
+    def __init__(self):
         self.regions: dict[int, Region] = {}
         self.fronts: dict[int, Front] = {}
         self.origins: dict[int, Point] = {}
@@ -193,20 +191,20 @@ class _Tracker:
                                 fan.origin, strength=piece.strength)
                 for k, piece in enumerate(fan.fronts)]
 
-    def build_initial(self):
-        sc = self.sc
-        if sc.offset < 0.0:
-            left_origin, right_origin = Point(0.0, sc.offset), Point(0.0, 0.0)
-        else:
-            left_origin, right_origin = Point(0.0, 0.0), Point(0.0, sc.offset)
-        rid_l = self._new_region(ConstLaw(sc.left.u), ConstLaw(sc.left.v), "left")
-        rid_m = self._new_region(ConstLaw(sc.middle.u), ConstLaw(sc.middle.v), "middle")
-        rid_r = self._new_region(ConstLaw(sc.right.u), ConstLaw(sc.right.v), "right")
-        fan_l = solve_grp(sc.left, sc.middle, 0.0, left_origin)
-        fan_r = solve_grp(sc.middle, sc.right, 0.0, right_origin)
-        fronts = tuple(self._materialize_fan(fan_l, rid_l, rid_m)
-                       + self._materialize_fan(fan_r, rid_m, rid_r))
-        regions = self._regions_for(fronts, rid_l, rid_r)
+    def build_initial(self, states, origins, gamma: float = 0.0):
+        """Epoch 0: the Riemann fan of each adjacent pair of ``states``,
+        with the atom ``gamma``, from its point of ``origins``; a pair with
+        no wave keeps one region."""
+        labels = ("left", *["middle"] * (len(states) - 2), "right")
+        fans = [solve_grp(a, b, gamma, p)
+                for a, b, p in zip(states, states[1:], origins)]
+        rids = [self._new_region(ConstLaw(states[0].u), ConstLaw(states[0].v), "left")]
+        for st, label, fan in zip(states[1:], labels[1:], fans):
+            rids.append(self._new_region(ConstLaw(st.u), ConstLaw(st.v), label)
+                        if fan.fronts else rids[-1])
+        fronts = tuple(fid for fan, lrid, rrid in zip(fans, rids, rids[1:])
+                       for fid in self._materialize_fan(fan, lrid, rrid))
+        regions = self._regions_for(fronts, rids[0], rids[-1])
         self.epochs.append(Epoch(0.0, INF, fronts, regions))
 
     def _regions_for(self, fronts, leftmost, rightmost):
@@ -432,8 +430,7 @@ class _Tracker:
 
     # -- driver ----------------------------------------------------------------
 
-    def track(self) -> Solution:
-        self.build_initial()
+    def track(self):
         while True:
             ev = self.next_event()
             if ev is None:
@@ -442,12 +439,11 @@ class _Tracker:
                 raise TrackingError(
                     f"event budget exceeded; last event at t={self.events[-1].t}")
             self.resolve(ev)
-        return self.solution(self.sc.t_max)
 
-    def solution(self, t_max: float) -> Solution:
-        return Solution(self.sc, self.case_id, self.case_label,
-                        self.regions, self.fronts, self.events, self.epochs,
-                        t_max_computed=t_max)
+    def solution(self, sc: Optional[Scenario], case_id: int, case_label: str,
+                 t_max: float) -> Solution:
+        return Solution(sc, case_id, case_label, self.regions, self.fronts,
+                        self.events, self.epochs, t_max_computed=t_max)
 
 
 def run(sc: Scenario) -> Solution:
@@ -457,7 +453,15 @@ def run(sc: Scenario) -> Solution:
     descriptions stay valid for all t >= 0 (the solution is global), with
     ``t_max_computed`` only bounding default sampling horizons.
     """
-    return _Tracker(sc, *validate_scenario(sc)).track()
+    case_id, case_label = validate_scenario(sc)
+    if sc.offset < 0.0:
+        origins = Point(0.0, sc.offset), Point(0.0, 0.0)
+    else:
+        origins = Point(0.0, 0.0), Point(0.0, sc.offset)
+    tr = _Tracker()
+    tr.build_initial((sc.left, sc.middle, sc.right), origins)
+    tr.track()
+    return tr.solution(sc, case_id, case_label, sc.t_max)
 
 
 def fan_solution(left: State, right: State, gamma: float = 0.0,
@@ -467,13 +471,6 @@ def fan_solution(left: State, right: State, gamma: float = 0.0,
     Used to verify standalone two-state solutions with the same residual
     machinery that checks full interaction solutions.
     """
-    tr = _Tracker(None, 0, "riemann")
-    rid_l = rid_r = tr._new_region(ConstLaw(left.u), ConstLaw(left.v), "left")
-    fan = solve_grp(left, right, gamma, Point(0.0, 0.0))
-    fids = []
-    if fan.fronts:
-        rid_r = tr._new_region(ConstLaw(right.u), ConstLaw(right.v), "right")
-        fids = tr._materialize_fan(fan, rid_l, rid_r)
-    fronts = tuple(fids)
-    tr.epochs.append(Epoch(0.0, INF, fronts, tr._regions_for(fronts, rid_l, rid_r)))
-    return tr.solution(t_max)
+    tr = _Tracker()
+    tr.build_initial((left, right), (Point(0.0, 0.0),), gamma)
+    return tr.solution(None, 0, "riemann", t_max)

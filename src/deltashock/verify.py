@@ -723,14 +723,17 @@ def compare_oracle(sol: Solution, orun: OracleRun) -> tuple[float, float]:
     """Sup-norm trajectory and strength differences between the oracle's
     approximate delta front and the exact fan-interior delta front, over the
     common part of the fan-crossing interval."""
-    exact = next(f for f in sol.fronts.values()
-                 if f.kind is FrontKind.DELTA_SHOCK
-                 and isinstance(f.geom, SqrtCurve))
+    exact = next((f for f in sol.fronts.values()
+                  if f.kind is FrontKind.DELTA_SHOCK
+                  and isinstance(f.geom, SqrtCurve)), None)
+    if exact is None:
+        raise ScenarioError("no fan-interior delta shock to compare: the "
+                            "delta breaks down at fan entry")
     t0 = max(exact.birth, float(orun.times[1]) if len(orun.times) > 1
              else exact.birth)
     t1 = min(exact.death, orun.t_end)
     if not (t1 > t0):
-        raise ValueError("no overlap between oracle and exact fan intervals")
+        raise ScenarioError("no overlap between oracle and exact fan intervals")
     ts = np.linspace(t0, t1 * (1.0 - 1e-12), 400)
     traj_err = np.max(np.abs(orun.traj(ts) - exact.geom.pos(ts)))
     alpha_err = np.max(np.abs(orun.strength(ts) - exact.strength(ts)))

@@ -179,6 +179,24 @@ def test_fields_rows_equal_sample(name):
         assert u[j, i] == sol.regions[rid].u_law(x, float(ts[j]))
 
 
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_fields_shuffled_repeated_times_equal_sample(name):
+    # the rows of one epoch are not contiguous, and some rows repeat
+    sol = run(BATTERY[name])
+    ts = _times_across_epochs(sol)
+    rng = np.random.default_rng(24)
+    ts = rng.permutation(np.concatenate([ts, rng.choice(ts, 12)]))
+    starts = [sol.epoch_at(t).t0 for t in ts]
+    runs = 1 + sum(a != b for a, b in zip(starts, starts[1:]))
+    assert runs > len(set(starts)) and len(set(ts)) < len(ts)
+    xs = np.linspace(-5.0, 30.0, 71)
+    u, v = fields(sol, ts, xs)
+    for j, t in enumerate(ts.tolist()):
+        s = sample(sol, t, xs)
+        assert u[j].tobytes() == s.u_vals.tobytes()
+        assert v[j].tobytes() == s.v_regular_vals.tobytes()
+
+
 def test_one_point_curved_region_row_equals_grid():
     # a row whose curved region holds exactly one point passes that point
     # to the laws as a float; the grid passes arrays, with the same bits
