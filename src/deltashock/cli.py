@@ -13,12 +13,13 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .core import FrontKind, Line, LogCurve, Scenario, Solution, SqrtCurve, State
-from .evaluate import atom_table, fields
+from .evaluate import atom_rows, fields
 from .interact import ScenarioError, TrackingError, run, validate_scenario
 from .riemann import solve_grp
 from . import verify as V
@@ -47,8 +48,8 @@ def _finite(*nums) -> bool:
 _OPTIONS = {
     "grid": (2, "two integers NX,NT >= 2",
              lambda *n: all(x >= 2 and x.is_integer() for x in n)),
-    "window": (2, "two finite numbers X0,X1 with X0 < X1",
-               lambda a, b: -math.inf < a < b < math.inf),
+    "window": (2, "two finite numbers X0,X1 with X0 < X1 and a finite X1 - X0",
+               lambda a, b: a < b and _finite(b - a)),
     "t_max": (1, "a finite number > 0", lambda t: 0.0 < t < math.inf),
     "left": (2, "two finite numbers U,V", _finite),
     "right": (2, "two finite numbers U,V", _finite),
@@ -98,8 +99,10 @@ def parse_scenario(path) -> tuple[Scenario, dict]:
         "window": _option("window", raw["window"]) if "window" in raw else None,
         "outputs": raw.get("outputs", {}),
     }
-    if not isinstance(opts["outputs"], dict):
-        raise ScenarioError(f"outputs must be an object, got {opts['outputs']!r}")
+    if not (isinstance(opts["outputs"], dict)
+            and isinstance(opts["outputs"].get("svg", True), bool)):
+        raise ScenarioError("outputs must be an object whose svg is true or "
+                            f"false, got {opts['outputs']!r}")
     return sc, opts
 
 
@@ -207,14 +210,13 @@ def emit(sol: Solution, out_dir, nx: int = 201, nt: int = 101,
 
     head = "t," + ",".join(["%.12g"] * nx) % tuple(x_grid.tolist())
     u, v = fields(sol, t_grid, x_grid)
-    atom_rows = ["t,front_id,x,alpha,alpha0,alpha1"]
-    for t, atoms in zip(t_grid.tolist(), atom_table(sol, t_grid)):
-        atom_rows += ["%.12g,%d,%.12g,%.12g,%.12g,%.12g"
-                      % (t, a.front_id, a.x, a.alpha, a.alpha0, a.alpha1)
-                      for a in atoms]
+    tl, atoms = t_grid.tolist(), atom_rows(sol, t_grid)
+    atom_lines = ["\n".join(["t,front_id,x,alpha,alpha0,alpha1"]
+                            + ["%.12g,%d,%.12g,%.12g,%.12g,%.12g"] * len(atoms))
+                  % tuple(chain.from_iterable((tl[j], *a) for j, *a in atoms))]
     for name, rows in (("u.csv", _grid_rows(head, t_grid, u)),
                        ("v.csv", _grid_rows(head, t_grid, v)),
-                       ("atoms.csv", atom_rows)):
+                       ("atoms.csv", atom_lines)):
         p = out / name
         p.write_text("\n".join(rows) + "\n")
         written.append(p)
@@ -265,6 +267,8 @@ def render_svg(sol: Solution, window, t_max: float) -> str:
         keep = (xs >= x0 - 0.02 * (x1 - x0)) & (xs <= x1 + 0.02 * (x1 - x0))
         if not np.any(keep):
             continue
+        if isinstance(f.geom, Line):    # a segment: its two ends draw it
+            keep[keep.nonzero()[0][1:-1]] = False
         xy = np.column_stack([px(xs[keep]), py(ts[keep])])
         pts = " ".join(["%.2f,%.2f"] * len(xy)) % tuple(xy.ravel().tolist())
         style, _ = _KIND_STYLE[f.kind]
@@ -310,7 +314,7 @@ def _cmd_solve(args) -> int:
     window = (opts["window"] if args.window is None
               else _option("--window", args.window))
     sol = run(sc)
-    svg = args.svg or bool(opts["outputs"].get("svg", True))
+    svg = args.svg or opts["outputs"].get("svg", True)
     written = emit(sol, args.out, nx=nx, nt=nt, window=window, svg=svg)
     print(f"case {sol.case_label}: {len(sol.events)} interaction event(s)")
     for e in sol.events:

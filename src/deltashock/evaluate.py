@@ -6,17 +6,19 @@ by their epoch, locates each point among the epoch's fronts, fills the
 constant regions by one gather from the epoch's per-region values and calls
 every other law once, on the points of its region.  A group of one time
 (every ``sample``) passes that time as a float, and a region's only point
-too.  ``atom_table`` evaluates every carrying front once on all the times
-at which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases,
-so a row of the grid is bit-identical to the sample at that time.  A closed
-form gets one time as a float and several as an array, whichever is
-cheaper, with the same bits either way (see ``core``).
+too.  ``atom_rows`` evaluates every carrying front once on all the times
+at which it is alive, and ``atom_table`` wraps its rows in Atoms.
+``sample`` and ``atoms_at`` are the one-time cases, so a row of the grid is
+bit-identical to the sample at that time.  A closed form gets one time as a
+float and several as an array, whichever is cheaper, with the same bits
+either way (see ``core``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -123,15 +125,16 @@ def fields(sol: Solution, ts, xs):
     return uv[0], uv[1]
 
 
-def atom_table(sol: Solution, ts) -> list:
-    """The delta atoms alive at each of ``ts``: one tuple of Atoms per time,
-    sorted by position, ties in front order.
+def atom_rows(sol: Solution, ts) -> list:
+    """The delta atoms alive at each of ``ts``: one tuple (j, front_id, x,
+    alpha, alpha0, alpha1) per atom alive at ``ts[j]``, sorted by j, then
+    position, ties in front order.
 
     Every strength-carrying front is evaluated once, on all the times at
     which it is alive; the split components come from the front's
     delta'-coefficient rule.
     """
-    ts, tl = _times(ts)
+    ts, _ = _times(ts)
     rows = []
     for f in sol.fronts.values():
         if f.strength is None:
@@ -139,12 +142,17 @@ def atom_table(sol: Solution, ts) -> list:
         k = np.flatnonzero((ts >= f.birth) & (ts < f.death))   # Front.alive_at
         if len(k):
             t = ts[k]
-            cols = (f.geom.pos(t), *f.atom(t))
-            rows += zip(k.tolist(), *(c.tolist() for c in cols), [f.fid] * len(k))
-    rows.sort(key=lambda r: r[:2])     # stable: ties keep front order
-    table = [[] for _ in tl]
-    for j, *atom in rows:
-        table[j].append(Atom(*atom))
+            rows += zip(k.tolist(), [f.fid] * len(k),
+                        *(c.tolist() for c in (f.geom.pos(t), *f.atom(t))))
+    rows.sort(key=itemgetter(0, 2))     # stable: ties keep front order
+    return rows
+
+
+def atom_table(sol: Solution, ts) -> list:
+    """The rows of ``atom_rows`` as one tuple of Atoms per time of ``ts``."""
+    table = [[] for _ in range(np.size(ts))]
+    for j, fid, *atom in atom_rows(sol, ts):
+        table[j].append(Atom(*atom, fid))
     return [tuple(atoms) for atoms in table]
 
 

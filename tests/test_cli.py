@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import struct
 
 import numpy as np
@@ -7,8 +9,8 @@ import pytest
 from deltashock import interact
 from deltashock.battery import BATTERY
 from deltashock.cli import (_front_times, _grid_rows, emit, main,
-                            parse_scenario, scenario_to_dict)
-from deltashock.core import State
+                            parse_scenario, render_svg, scenario_to_dict)
+from deltashock.core import Line, State
 from deltashock.evaluate import sample
 from deltashock.interact import fan_solution, run
 from deltashock.verify import auto_window
@@ -58,14 +60,17 @@ def test_missing_file_exits_2(tmp_path):
     pytest.param(["--window", "1"], {}, id="window-one-number"),
     pytest.param(["--window", "5,1"], {}, id="window-reversed"),
     pytest.param(["--window", "0,inf"], {}, id="window-infinite"),
+    pytest.param(["--window=-1e308,1e308"], {}, id="window-width-overflows"),
     pytest.param(["--t-max", "-1"], {}, id="t-max-negative"),
     pytest.param(["--t-max", "nan"], {}, id="t-max-nan"),
     pytest.param([], {"grid": "ab"}, id="file-grid-text"),
     pytest.param([], {"grid": [1, 1]}, id="file-grid-below-2"),
     pytest.param([], {"window": ["a", "b"]}, id="file-window-text"),
     pytest.param([], {"window": [5, 1]}, id="file-window-reversed"),
+    pytest.param([], {"window": [-1e308, 1e308]}, id="file-window-width-overflows"),
     pytest.param([], {"t_max": -1}, id="file-t-max-negative"),
     pytest.param([], {"outputs": [1]}, id="file-outputs-not-object"),
+    pytest.param([], {"outputs": {"svg": "false"}}, id="file-outputs-svg-text"),
 ])
 def test_bad_solve_option_exits_2(args, extra, tmp_path, capsys):
     p = tmp_path / "s.json"
@@ -73,7 +78,7 @@ def test_bad_solve_option_exits_2(args, extra, tmp_path, capsys):
                              **extra}))
     assert main(["solve", str(p), "--out", str(tmp_path / "o"), *args]) == 2
     err = capsys.readouterr().err
-    name = args[0] if args else next(iter(extra))
+    name = args[0].split("=")[0] if args else next(iter(extra))
     assert err.startswith(f"error: {name} must be")
     assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "o").exists()
@@ -358,3 +363,41 @@ def test_grid_rows_runs_match_per_value_format():
     ]:
         t, vals = np.array(t), np.array(vals)
         assert _grid_rows("h", t, vals) == reference(t, vals), (t, vals)
+
+
+@pytest.mark.parametrize("name", list(BATTERY))
+def test_straight_fronts_are_drawn_as_segments(name):
+    """Each straight front's polyline is the first and last point of the
+    256-sample polyline kept inside the window's 2% margin, and every point
+    it drops lies within 0.01 px of that segment; a curve keeps all 256."""
+    sol = run(BATTERY[name])
+    t_max = sol.t_max_computed
+    x0, x1 = window = auto_window(sol, t_max, pad=1.0)
+    got = re.findall(r'<polyline [^>]*points="([^"]*)"',
+                     render_svg(sol, window, t_max))
+    expect, dropped = [], 0
+    for f in sorted(sol.fronts.values(), key=lambda f: f.fid):
+        ts = _front_times(f, t_max, n=256)
+        if ts is None:
+            continue
+        xs = f.geom.pos(ts)
+        keep = (xs >= x0 - 0.02 * (x1 - x0)) & (xs <= x1 + 0.02 * (x1 - x0))
+        if not keep.any():
+            continue
+        # the pixels of an 880 x 660 canvas with a 55 px margin
+        xy = np.column_stack([55.0 + (xs[keep] - x0) * 770.0 / (x1 - x0),
+                              605.0 - ts[keep] * 550.0 / t_max])
+        pts = ["%.2f,%.2f" % tuple(p) for p in xy.tolist()]
+        if isinstance(f.geom, Line):
+            a, b = xy[0], xy[-1]
+            d = xy - a
+            span = math.hypot(*(b - a))
+            off = (np.abs(d[:, 0] * (b - a)[1] - d[:, 1] * (b - a)[0]) / span
+                   if span else np.hypot(d[:, 0], d[:, 1]))
+            assert off.max() <= 0.01, (f.fid, off.max())
+            dropped += len(pts) - 2
+            pts = [pts[0], pts[-1]]
+        expect.append(" ".join(pts))
+    assert got == expect
+    assert dropped > 0
+

@@ -5,7 +5,7 @@ import pytest
 
 from deltashock.battery import BATTERY
 from deltashock.core import Scenario, State, WCurvedV, WTildeCurvedV
-from deltashock.evaluate import atom_table, atoms_at, fields, sample
+from deltashock.evaluate import atom_rows, atom_table, atoms_at, fields, sample
 from deltashock.interact import fan_solution, run
 
 
@@ -227,6 +227,8 @@ def test_atom_table_rows_equal_atoms_at(name):
     ts = _times_across_epochs(sol)
     table = atom_table(sol, ts)
     assert len(table) == len(ts)
+    assert atom_rows(sol, ts) == [(j, a.front_id, a.x, a.alpha, a.alpha0, a.alpha1)
+                                  for j, row in enumerate(table) for a in row]
     for t, row in zip(ts, table):
         assert row == atoms_at(sol, float(t))
         assert [a.x for a in row] == sorted(a.x for a in row)
