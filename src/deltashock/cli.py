@@ -337,23 +337,23 @@ def _cmd_verify(args) -> int:
     sol = run(sc)
     phis = V.random_test_functions(sol, args.tests, seed=args.seed)
     worst = max(max(map(abs, V.weak_residual(sol, phi))) for phi in phis)
-    ok = True
-    line = "PASS" if worst <= args.tol else "FAIL"
-    ok &= worst <= args.tol
-    print(f"[{line}] weak residual: max {worst:.3e} over {args.tests} "
-          f"test functions (tol {args.tol:.1e})")
     t_hi = min(sc.t_max, 5.0)
-    win = V.auto_window(sol, t_hi)
-    merr = V.mass_balance(sol, win, np.linspace(1e-3, t_hi, 11))
-    line = "PASS" if merr <= 1e-8 else "FAIL"
-    ok &= merr <= 1e-8
-    print(f"[{line}] mass balance: max {merr:.3e} (tol 1.0e-08)")
+    merr = V.mass_balance(sol, V.auto_window(sol, t_hi),
+                          np.linspace(1e-3, t_hi, 11))
     margins = V.overcompressibility_report(sol)
     worst_m = min((min(lo, hi) for _, lo, hi in margins), default=0.0)
-    line = "PASS" if worst_m >= -1e-9 else "FAIL"
-    ok &= worst_m >= -1e-9
-    print(f"[{line}] overcompressibility: min margin {worst_m:.3e}")
-    return 0 if ok else 3
+    mass_tol, margin_tol = 1e-8, -1e-9
+    checks = [
+        (worst <= args.tol, f"weak residual: max {worst:.3e} over "
+                            f"{args.tests} test functions (tol {args.tol:.1e})"),
+        (merr <= mass_tol, f"mass balance: max {merr:.3e} "
+                           f"(tol {mass_tol:.1e})"),
+        (worst_m >= margin_tol,
+         f"overcompressibility: min margin {worst_m:.3e}"),
+    ]
+    for passed, text in checks:
+        print(f"[{'PASS' if passed else 'FAIL'}] {text}")
+    return 0 if all(passed for passed, _ in checks) else 3
 
 
 def _cmd_oracle(args) -> int:
@@ -380,7 +380,10 @@ def _at_least(low, kind):
     return parse
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use, once per process:
+    parse_args leaves it unchanged."""
     ap = argparse.ArgumentParser(
         prog="deltashock",
         description="Exact front tracking for delta shock wave interactions")
@@ -401,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="u,v; a negative u needs the = form, --left=-1,2")
     p.add_argument("--right", required=True,
                    help="u,v; a negative u needs the = form, --right=-1,2")
-    p.add_argument("--atom", type=float, default=0.0,
+    p.add_argument("--atom", default=0.0,
                    help="initial point-atom mass at the origin")
     p.set_defaults(func=_cmd_riemann)
 
@@ -419,20 +422,11 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built on first use, once per process: parse_args leaves it unchanged
-    return build_parser()
-
-
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except TrackingError as exc:

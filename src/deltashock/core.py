@@ -112,19 +112,8 @@ class Point:
 # curve geometries
 # ---------------------------------------------------------------------------
 
-class CurveGeometry:
-    """Base for discontinuity-curve geometries; position/slope evaluable in t.
-    It has no lifetime; the carrying front's ``birth`` and ``death`` bound it."""
-
-    def pos(self, t):
-        raise NotImplementedError
-
-    def slope(self, t):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class Line(CurveGeometry):
+class Line:
     """Straight front x = x0 + m (t - t0)."""
 
     t0: float
@@ -139,7 +128,7 @@ class Line(CurveGeometry):
 
 
 @dataclass(frozen=True)
-class SqrtCurve(CurveGeometry):
+class SqrtCurve:
     """Fan-interior trajectory x = xc + u_k (t - tc) + K sqrt(t - tc).
 
     Solves c'(t) = (c/t + u_k)/2 for a front flanked by the constant state
@@ -162,7 +151,7 @@ class SqrtCurve(CurveGeometry):
 
 
 @dataclass(frozen=True)
-class LogCurve(CurveGeometry):
+class LogCurve:
     """Fan characteristic x = xc + (t - tc) (C - log(t - tc)).
 
     Integral curve of dx/dt = x/t - 1 inside a fan centered at (tc, xc);
@@ -186,18 +175,8 @@ class LogCurve(CurveGeometry):
 # strength laws
 # ---------------------------------------------------------------------------
 
-class StrengthLaw:
-    """Signed delta mass alpha(t) carried by a front."""
-
-    def __call__(self, t):
-        raise NotImplementedError
-
-    def rate(self, t):
-        raise NotImplementedError
-
-
 @dataclass(frozen=True)
-class ConstantStrength(StrengthLaw):
+class ConstantStrength:
     gamma: float
 
     def __call__(self, t):
@@ -208,7 +187,7 @@ class ConstantStrength(StrengthLaw):
 
 
 @dataclass(frozen=True)
-class AffineStrength(StrengthLaw):
+class AffineStrength:
     """alpha(t) = s (t - t_ref) + gamma with constant deficit rate s."""
 
     s: float
@@ -223,7 +202,7 @@ class AffineStrength(StrengthLaw):
 
 
 @dataclass(frozen=True)
-class TabulatedStrength(StrengthLaw):
+class TabulatedStrength:
     """Strength of a delta shock crossing a fan on ``curve``, in closed form.
 
     The fan side carries v = fan_v, so its trace on the curve is
@@ -277,7 +256,7 @@ class TabulatedStrength(StrengthLaw):
 # ---------------------------------------------------------------------------
 
 class FieldLaw:
-    """Closed-form evaluator for one field over one region.
+    """Closed-form evaluator ``law(x, t)`` for one field over one region.
 
     ``singular_left`` marks laws that blow up (exponent -1/2 in distance)
     at the region's left boundary, ``singular_locus``.  Quadrature runs in
@@ -286,9 +265,6 @@ class FieldLaw:
     """
 
     singular_left: bool = False
-
-    def __call__(self, x, t):
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -623,10 +599,10 @@ class Front:
 
     fid: int
     kind: FrontKind
-    geom: CurveGeometry
+    geom: Line | SqrtCurve | LogCurve
     left_region: int
     right_region: int
-    strength: Optional[StrengthLaw] = None
+    strength: Optional[ConstantStrength | AffineStrength | TabulatedStrength] = None
     u_laws: Optional[tuple] = None
     birth: float = 0.0
     death: float = INF

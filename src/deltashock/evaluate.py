@@ -7,11 +7,11 @@ constant regions by one gather from the epoch's per-region values and calls
 every other law once, on the points of its region.  A group of one time
 (every ``sample``) passes that time as a float, and a region's only point
 too.  ``atom_rows`` evaluates every carrying front once on all the times
-at which it is alive, and ``atom_table`` wraps its rows in Atoms.
-``sample`` and ``atoms_at`` are the one-time cases, so a row of the grid is
-bit-identical to the sample at that time.  A closed form gets one time as a
-float and several as an array, whichever is cheaper, with the same bits
-either way (see ``core``).
+at which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases,
+so a row of the grid, and the atom rows of one time, are bit-identical to
+the sample at that time.  A closed form gets one time as a float and
+several as an array, whichever is cheaper, with the same bits either way
+(see ``core``).
 """
 
 from __future__ import annotations
@@ -148,17 +148,9 @@ def atom_rows(sol: Solution, ts) -> list:
     return rows
 
 
-def atom_table(sol: Solution, ts) -> list:
-    """The rows of ``atom_rows`` as one tuple of Atoms per time of ``ts``."""
-    table = [[] for _ in range(np.size(ts))]
-    for j, fid, *atom in atom_rows(sol, ts):
-        table[j].append(Atom(*atom, fid))
-    return [tuple(atoms) for atoms in table]
-
-
 def atoms_at(sol: Solution, t: float):
     """All delta atoms alive at time t, sorted by position, ties in front
-    order: the one-time case of ``atom_table``, evaluated in floats.
+    order: the one-time case of ``atom_rows``, evaluated in floats.
 
     One entry per strength-carrying front; the split components come from
     the front's delta'-coefficient rule.

@@ -18,8 +18,7 @@ import math
 import sys
 from typing import Optional
 
-from .core import (INF, _EPS, CurveGeometry, Line, LogCurve, Point, SqrtCurve,
-                   _halley)
+from .core import INF, _EPS, Line, LogCurve, Point, SqrtCurve, _halley
 
 
 def fan_delta_trajectory(entry: Point, u_const: float, fan_center: Point) -> SqrtCurve:
@@ -63,7 +62,7 @@ def characteristic_in_fan(through: Point, fan_center: Point) -> LogCurve:
     return LogCurve(C, fan_center.t, fan_center.x)
 
 
-def line_crossings(line: Line, geom: CurveGeometry, lo: float,
+def line_crossings(line: Line, geom: Line | SqrtCurve | LogCurve, lo: float,
                    hi: float) -> list[float]:
     """Ascending times t in (lo, hi) at which ``geom`` crosses ``line``
     transversally, in closed form; tangential contacts are no crossing.
@@ -153,7 +152,8 @@ def _log_roots(a: float, b: float, terms: float) -> list[float]:
     return [ln_a - _halley(L, g, -1.0) for L in guesses]
 
 
-def intersect(a: CurveGeometry, b: CurveGeometry, after: float) -> Optional[Point]:
+def intersect(a: Line | SqrtCurve | LogCurve, b: Line | SqrtCurve | LogCurve,
+              after: float) -> Optional[Point]:
     """Earliest transversal intersection of two front geometries with
     t > after, or None.  Grazing (tangential) contacts count as no event,
     and so does a crossing whose position overflows.

@@ -56,7 +56,7 @@ from .fronts import (
     fan_delta_trajectory,
     intersect,
 )
-from .riemann import WaveCase, solve_grp, v_star
+from .riemann import WaveCase, classify, solve_grp, v_star
 
 RULE_MERGE_DELTAS = "MergeDeltas"
 RULE_DELTA_CROSSES_CONTACT = "DeltaCrossesContact"
@@ -91,41 +91,35 @@ def validate_scenario(sc: Scenario) -> tuple[int, str]:
     """Return (case id, sub-case label) or raise naming the violated inequality.
 
     offset < 0 requires the (left, middle) pair to form the delta shock;
-    offset > 0 requires the (middle, right) pair to.  The other pair then
-    selects the case: a second delta shock (1), a shock-contact pair (2, 3),
-    or a contact-rarefaction pair (4, 5).
+    offset > 0 requires the (middle, right) pair to.  The other pair's wave
+    structure (``classify``) then selects the case: a second delta shock
+    (1), a shock-contact pair (2, 3), or a contact-rarefaction pair (4, 5).
     """
-    u0, u1, u2 = sc.left.u, sc.middle.u, sc.right.u
-    if sc.offset < 0.0:
-        if not u0 >= u1 + 2.0:
-            raise ScenarioError(
-                f"u0 >= u1 + 2 violated (u0={u0}, u1={u1}); the wave starting "
-                "at a negative offset must be a delta shock")
-        if u1 >= u2 + 2.0:
-            return 1, "1"
-        if u2 < u1:
-            return 2, "2"
-        if u2 > u1:
-            if u2 <= u0 - 2.0:
-                return 4, "4(i)"
-            if u0 <= u2:
-                return 4, "4(ii)(a)"
-            if u2 >= u0 - 1.0:
-                return 4, "4(ii)(b)"
-            return 4, "4(ii)(c)"
-        raise ScenarioError(f"u1 != u2 required (u1={u1}, u2={u2})")
-    # offset > 0
-    if not u1 >= u2 + 2.0:
+    u = u0, u1, u2 = sc.left.u, sc.middle.u, sc.right.u
+    neg = sc.offset < 0.0
+    i, j = (0, 1) if neg else (1, 0)    # the delta pair, the other pair
+    if classify(u[i], u[i + 1]) is not WaveCase.DELTA_SHOCK:
         raise ScenarioError(
-            f"u1 >= u2 + 2 violated (u1={u1}, u2={u2}); the wave starting "
-            "at a positive offset must be a delta shock")
-    if u0 >= u1 + 2.0:
+            f"u{i} >= u{i + 1} + 2 violated (u{i}={u[i]}, u{i + 1}={u[i + 1]}); "
+            f"the wave starting at a {'negative' if neg else 'positive'} "
+            "offset must be a delta shock")
+    other = classify(u[j], u[j + 1])
+    if other is WaveCase.CONSTANT:
+        raise ScenarioError(
+            f"u{j} != u{j + 1} required (u{j}={u[j]}, u{j + 1}={u[j + 1]})")
+    if other is WaveCase.DELTA_SHOCK:
         return 1, "1"
-    if u0 > u1:
-        return 3, "3"  # u1 < u0 < u1 + 2: contact + shock at the origin
-    if u0 == u1:
-        raise ScenarioError(f"u0 != u1 required (u0={u0}, u1={u1})")
-    # u0 < u1: contact + rarefaction at the origin
+    if other is WaveCase.SHOCK_CONTACT:
+        return (2, "2") if neg else (3, "3")
+    # contact + rarefaction at the origin
+    if neg:
+        if u2 <= u0 - 2.0:
+            return 4, "4(i)"
+        if u0 <= u2:
+            return 4, "4(ii)(a)"
+        if u2 >= u0 - 1.0:
+            return 4, "4(ii)(b)"
+        return 4, "4(ii)(c)"
     if u0 >= u2 + 2.0:
         return 5, "5(no-bifurcation)"
     if u0 <= u2:
@@ -247,15 +241,16 @@ class _Tracker:
         if kindset == {FrontKind.DELTA_SHOCK, FrontKind.CONTACT}:
             return self._resolve_riemann(ev, RULE_DELTA_CROSSES_CONTACT)
         if FrontKind.FAN_EDGE in kindset:
-            other = next(self.fronts[f] for f in ev.incoming
-                         if self.fronts[f].kind is not FrontKind.FAN_EDGE)
+            edge, other = (self.fronts[f] for f in ev.incoming)
+            if other.kind is FrontKind.FAN_EDGE:
+                edge, other = other, edge
             if other.kind is FrontKind.DELTA_SHOCK and isinstance(other.geom, Line):
-                return self._resolve_delta_enters_fan(ev)
+                return self._resolve_delta_enters_fan(ev, edge, other)
             if other.kind is FrontKind.DELTA_SHOCK or (
                     other.kind is FrontKind.SHOCK and isinstance(other.geom, SqrtCurve)):
                 return self._resolve_riemann(ev, RULE_FRONT_EXITS_FAN)
             if other.kind is FrontKind.DELTA_CONTACT and isinstance(other.geom, LogCurve):
-                return self._resolve_contact_continuation(ev)
+                return self._resolve_contact_continuation(ev, edge, other)
         raise TrackingError(
             f"no resolution rule for fronts {ev.incoming} of kinds {kinds} "
             f"at t={ev.t}, x={ev.x}")
@@ -331,16 +326,13 @@ class _Tracker:
                 raise TrackingError("delta speed changed across a contact")
         self._commit(ev, rule, self._materialize_fan(fan, lrid, rrid), gamma)
 
-    def _resolve_delta_enters_fan(self, ev):
+    def _resolve_delta_enters_fan(self, ev, edge: Front, delta: Front):
         """The delta rides into the fan on ``fan_delta_trajectory``, where
-        its u-gap to the fan trace shrinks from the near edge's to the far
-        edge's.  A gap of 2 at the near edge (or below it, by rounding of the
-        states) is a breakdown at the entry point, a gap below 2 at the far
-        edge a breakdown inside the fan, and otherwise (a tie at 2
+        its u-gap to the fan trace shrinks from the near ``edge``'s to the
+        far edge's.  A gap of 2 at the near edge (or below it, by rounding of
+        the states) is a breakdown at the entry point, a gap below 2 at the
+        far edge a breakdown inside the fan, and otherwise (a tie at 2
         included) the delta exits the fan."""
-        delta, edge = (self.fronts[f] for f in ev.incoming)
-        if edge.kind is not FrontKind.FAN_EDGE:
-            delta, edge = edge, delta
         lrid, rrid = self._outer_regions(ev)
         left, right = self.regions[lrid], self.regions[rrid]
         fan_on_right = isinstance(right.u_law, FanU)
@@ -405,11 +397,7 @@ class _Tracker:
         f2 = self._new_front(FrontKind.SHOCK, curve, w_rid, rrid, origin)
         self._commit(ev, RULE_BREAKDOWN, [f1, f2], gamma_s)
 
-    def _resolve_contact_continuation(self, ev):
-        edge = next(self.fronts[f] for f in ev.incoming
-                    if self.fronts[f].kind is FrontKind.FAN_EDGE)
-        dc = next(self.fronts[f] for f in ev.incoming
-                  if self.fronts[f].kind is FrontKind.DELTA_CONTACT)
+    def _resolve_contact_continuation(self, ev, edge: Front, dc: Front):
         lrid, rrid = self._outer_regions(ev)
         left = self.regions[lrid]          # constant (u0, v_*) beyond the edge
         w_curved = self.regions[rrid]      # singular fan-interior region

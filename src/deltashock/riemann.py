@@ -30,7 +30,6 @@ from .core import (
     Line,
     Point,
     State,
-    StrengthLaw,
 )
 
 
@@ -81,7 +80,7 @@ class FanPiece:
 
     kind: FrontKind
     geom: Line
-    strength: Optional[StrengthLaw] = None
+    strength: Optional[AffineStrength | ConstantStrength] = None
 
 
 @dataclass(frozen=True)

@@ -487,6 +487,8 @@ def auto_window(sol: Solution, t_hi: float, pad: float = 1.0):
             p = f.geom.pos(tt)
             lo = min(lo, float(np.min(p)))
             hi = max(hi, float(np.max(p)))
+    if lo > hi:                 # no front at the sampled times
+        return -pad, pad
     return lo - pad, hi + pad
 
 

@@ -154,6 +154,17 @@ def test_emit_without_atoms_writes_header_only(tmp_path):
     assert rows == ["t,front_id,x,alpha,alpha0,alpha1"]
 
 
+def test_emit_without_fronts_pads_around_zero(tmp_path):
+    # no front to frame: the default window is (-pad, pad)
+    sol = fan_solution(State(1, 1), State(1, 1))
+    assert auto_window(sol, sol.t_max_computed) == (-1.0, 1.0)
+    emit(sol, tmp_path / "o", nx=11, nt=5)
+    rows = (tmp_path / "o" / "u.csv").read_text().splitlines()[1:]
+    assert len(rows) == 5
+    assert all(row.split(",")[1:] == ["1"] * 11 for row in rows)
+    assert (tmp_path / "o" / "diagram.svg").exists()
+
+
 def test_riemann_subcommand(capsys):
     assert main(["riemann", "--left", "3,1", "--right", "2,1",
                  "--atom", "5"]) == 0
@@ -168,7 +179,8 @@ def test_riemann_subcommand(capsys):
             ("--left", ["--left", "1,nan", "--right", "0,1"]),
             ("--right", ["--left", "4,1", "--right", "0,-inf"]),
             ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "nan"]),
-            ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "inf"])]:
+            ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "inf"]),
+            ("--atom", ["--left", "4,1", "--right", "0,1", "--atom", "x"])]:
         assert main(["riemann"] + argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -187,6 +199,22 @@ def test_verify_subcommand(case1_file, capsys):
                  "--seed", "5"]) == 0
     out = capsys.readouterr().out
     assert out.count("[PASS]") == 3
+
+
+def test_verify_fail_lines(case1_file, capsys, monkeypatch):
+    # every gate fails: --tol 0 fails the weak residual's rounding noise, and
+    # the mass and margin oracles report values past their limits
+    monkeypatch.setattr("deltashock.verify.mass_balance",
+                        lambda *args: 2.5e-8)
+    monkeypatch.setattr("deltashock.verify.overcompressibility_report",
+                        lambda sol: [(0, -3e-9, 1.0)])
+    assert main(["verify", str(case1_file), "--tests", "5", "--seed", "5",
+                 "--tol", "0"]) == 3
+    weak, mass, margin = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"\[FAIL\] weak residual: max \d\.\d{3}e[-+]\d\d over 5 "
+                        r"test functions \(tol 0\.0e\+00\)", weak)
+    assert mass == "[FAIL] mass balance: max 2.500e-08 (tol 1.0e-08)"
+    assert margin == "[FAIL] overcompressibility: min margin -3.000e-09"
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from deltashock.battery import BATTERY
 from deltashock.core import Scenario, State, WCurvedV, WTildeCurvedV
-from deltashock.evaluate import atom_rows, atom_table, atoms_at, fields, sample
+from deltashock.evaluate import atom_rows, atoms_at, fields, sample
 from deltashock.interact import fan_solution, run
 
 
@@ -223,18 +223,19 @@ def test_one_point_curved_region_row_equals_grid():
 
 @pytest.mark.parametrize("name", list(BATTERY))
 def test_atom_table_rows_equal_atoms_at(name):
+    # the rows of atom_rows, as a table of one row list per time
     sol = run(BATTERY[name])
     ts = _times_across_epochs(sol)
-    table = atom_table(sol, ts)
-    assert len(table) == len(ts)
-    assert atom_rows(sol, ts) == [(j, a.front_id, a.x, a.alpha, a.alpha0, a.alpha1)
-                                  for j, row in enumerate(table) for a in row]
+    rows = atom_rows(sol, ts)
+    js = [r[0] for r in rows]
+    assert js == sorted(js) and set(js) <= set(range(len(ts)))
+    table = [[r[1:] for r in rows if r[0] == j] for j in range(len(ts))]
     for t, row in zip(ts, table):
-        assert row == atoms_at(sol, float(t))
-        assert [a.x for a in row] == sorted(a.x for a in row)
-        for a in row:
-            assert all(type(getattr(a, k)) is float
-                       for k in ("x", "alpha", "alpha0", "alpha1"))
+        assert row == [(a.front_id, a.x, a.alpha, a.alpha0, a.alpha1)
+                       for a in atoms_at(sol, float(t))]
+        assert [x for _, x, *_ in row] == sorted(x for _, x, *_ in row)
+        for fid, *vals in row:
+            assert type(fid) is int and all(type(v) is float for v in vals)
     assert any(table)
 
 

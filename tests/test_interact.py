@@ -52,6 +52,12 @@ def test_validate_scenario_sub_labels():
     assert validate_scenario(sc(4, 1, 3.0, -1.0))[1] == "4(ii)(b)"
     assert validate_scenario(sc(2, 4, 0, +1.0))[1] == "5(no-bifurcation)"
     assert validate_scenario(sc(0, 4, 0, +1.0))[1] == "5(bifurcation,u0<=u2)"
+    # a delta pair at a u-gap of exactly 2 is accepted at both signs
+    assert validate_scenario(sc(3, 1, 0.5, -1.0)) == (2, "2")
+    assert validate_scenario(sc(0, 3, 1, +1.0)) == (5, "5(bifurcation,u0<=u2)")
+    # another pair at exactly 2 is a second delta shock: case 1, not 2 or 3
+    assert validate_scenario(sc(6, 3, 1, -1.0)) == (1, "1")
+    assert validate_scenario(sc(5, 3, 0, +1.0)) == (1, "1")
 
 
 def test_validate_scenario_rejections():
@@ -61,6 +67,16 @@ def test_validate_scenario_rejections():
         validate_scenario(sc(6, 2, 2, -1.0))
     with pytest.raises(ScenarioError, match="u0 != u1"):
         validate_scenario(sc(4, 4, 0, +1.0))
+    # equal u in the other pair: the full text
+    for scenario, text in (
+            (sc(6, 2.5, 2.5, -1.0), "u1 != u2 required (u1=2.5, u2=2.5)"),
+            (sc(4, 4, 2, +1.0), "u0 != u1 required (u0=4, u1=4)")):
+        with pytest.raises(ScenarioError) as exc:
+            validate_scenario(scenario)
+        assert str(exc.value) == text
+    # past 2**54, u + 2 rounds to u: equal states are still no delta shock
+    with pytest.raises(ScenarioError, match="u0 >= u1 \\+ 2 violated"):
+        validate_scenario(sc(1e17, 1e17, 0, -1.0))
     with pytest.raises(ValueError):
         sc(6, 3, 0, 0.0)
     # a positive-offset delta pair next to another delta pair is case 1
