@@ -20,7 +20,8 @@ import numpy as np
 
 from .core import FrontKind, Line, LogCurve, Scenario, Solution, SqrtCurve, State
 from .evaluate import atom_rows, fields
-from .interact import ScenarioError, TrackingError, run, validate_scenario
+from .interact import (ScenarioError, TrackingError, run, validate_pair,
+                       validate_scenario)
 from .riemann import solve_grp
 from . import verify as V
 
@@ -327,6 +328,7 @@ def _cmd_solve(args) -> int:
 def _cmd_riemann(args) -> int:
     left = State(*_option("--left", args.left))
     right = State(*_option("--right", args.right))
+    validate_pair(left, right, "--left and --right")
     fan = solve_grp(left, right, _option("--atom", args.atom))
     print(_describe_fan(fan))
     return 0

@@ -4,27 +4,29 @@ alive at given times with positions, strengths, and splits.
 ``fields`` samples by one rule, epoch by epoch: it groups the query times
 by their epoch, locates each point among the epoch's fronts, fills the
 constant regions by one gather from the epoch's per-region values and calls
-every other law once, on the points of its region.  A group of one time
-(every ``sample``) passes that time as a float, and a region's only point
-too.  ``atom_rows`` evaluates every carrying front once on all the times
-at which it is alive.  ``sample`` and ``atoms_at`` are the one-time cases,
-so a row of the grid, and the atom rows of one time, are bit-identical to
-the sample at that time.  A closed form gets one time as a float and
-several as an array, whichever is cheaper, with the same bits either way
-(see ``core``).
+every other law once, on the points of its region, a fan's v on the u just
+found there.  A group of one time passes that time as a float, and a
+region's only point too.  ``atom_rows`` evaluates every carrying front once
+on all the times at which it is alive.  ``sample`` and ``atoms_at`` are the
+one-time cases, at the cost of the epoch in force at t: ``sample`` evaluates
+it as a group of one time, ``atoms_at`` reads only its fronts.  So a row of
+the grid, and the atom rows of one time, are bit-identical to the sample
+at that time.  A closed form gets one time as a float and several as an
+array, whichever is cheaper, with the same bits either way (see ``core``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 import numpy as np
 
-from .core import ConstLaw, Solution
+from .core import ConstLaw, FanExpV, Solution
 
 _ON_FRONT_TOL = 1e-12
+_BY_POSITION = attrgetter("x", "front_id")    # atoms: by x, ties by front id
 
 
 @dataclass(frozen=True)
@@ -64,6 +66,14 @@ def _time(t) -> float:
     return t
 
 
+def _xs(xs):
+    """The query positions as a flat float array; a NaN is refused."""
+    xs = np.asarray(xs, dtype=float).reshape(-1)
+    if np.isnan(xs).any():
+        raise ValueError("sampling requires x that is not NaN")
+    return xs
+
+
 def _row(sol: Solution, ep, t, xs):
     """u and v in the epoch ``ep`` at the time t (a float, one row) or the
     times t (an array, a row each), stacked in shape (2, rows, len(xs))."""
@@ -76,23 +86,30 @@ def _row(sol: Solution, ep, t, xs):
     k = (pos[1:, ..., None] <= xs).sum(axis=0)
     near = k if one else (k, np.arange(len(t))[:, None])
     k -= np.abs(xs - pos[near]) <= snap[near]
-    # constant laws by one gather from the epoch's per-region values (as
-    # floats: a state may hold ints), every other law once, on the points
-    # of its region (a region's only point, and its time, as floats)
-    laws = ([sol.regions[r].u_law for r in ep.regions],
-            [sol.regions[r].v_law for r in ep.regions])
-    uv = np.array([[law.value if isinstance(law, ConstLaw) else 0.0 for law in row]
-                   for row in laws], dtype=float).take(k, axis=1)
-    for slot in np.bincount(k.ravel(), minlength=len(ep.regions)).nonzero()[0]:
-        calls = [(out, row[slot]) for out, row in zip(uv, laws)
-                 if not isinstance(row[slot], ConstLaw)]
-        if calls:
-            at = (k == slot).nonzero()      # (i,) at one time, (j, i) at several
-            x, s = xs[at[-1]], t if one else t[at[0]]
-            if len(x) == 1:
-                x, s = float(x[0]), s if one else float(s[0])
-            for out, law in calls:
-                out[at] = law(x, s)
+    # constant laws by one gather from a per-region table (as floats: a
+    # state may hold ints), every other law once, on the points of its
+    # region (a region's only point, and its time, as floats)
+    us, vs, calls = [], [], []
+    for slot, rid in enumerate(ep.regions):
+        u_law, v_law = sol.regions[rid].u_law, sol.regions[rid].v_law
+        cu, cv = isinstance(u_law, ConstLaw), isinstance(v_law, ConstLaw)
+        us.append(u_law.value if cu else 0.0)
+        vs.append(v_law.value if cv else 0.0)
+        if not (cu and cv):
+            calls.append((slot, None if cu else u_law, None if cv else v_law))
+    uv = np.array((us, vs), dtype=float).take(k, axis=1)
+    for slot, u_law, v_law in calls:
+        at = (k == slot).nonzero()          # (i,) at one time, (j, i) at several
+        if not len(at[0]):
+            continue
+        x, s = xs[at[-1]], t if one else t[at[0]]
+        if len(x) == 1:
+            x, s = float(x[0]), s if one else float(s[0])
+        if u_law is not None:
+            uv[0][at] = u = u_law(x, s)
+        if v_law is not None:
+            # a fan's v from the u just written: its FanU has the same centre
+            uv[1][at] = v_law.of_u(u) if isinstance(v_law, FanExpV) else v_law(x, s)
     return uv[:, None] if one else uv
 
 
@@ -109,9 +126,7 @@ def fields(sol: Solution, ts, xs):
     infinities, never as silently huge finite numbers.
     """
     ts, tl = _times(ts)
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    if np.isnan(xs).any():
-        raise ValueError("sampling requires x that is not NaN")
+    xs = _xs(xs)
     groups = {}
     for j, t in enumerate(tl):
         ep = sol.epoch_at(t)
@@ -156,17 +171,19 @@ def atoms_at(sol: Solution, t: float):
     the front's delta'-coefficient rule.
     """
     t = _time(t)
-    atoms = [Atom(f.geom.pos(t), *f.atom(t), f.fid) for f in sol.fronts.values()
-             if f.strength is not None and f.alive_at(t)]
-    atoms.sort(key=lambda a: a.x)      # stable: ties keep front order
+    # every birth and death is an epoch start: its fronts are those alive
+    fronts = map(sol.fronts.__getitem__, sol.epoch_at(t).fronts)
+    atoms = [Atom(f.geom.pos(t), *f.atom(t), f.fid) for f in fronts
+             if f.strength is not None]
+    atoms.sort(key=_BY_POSITION)
     return tuple(atoms)
 
 
 def sample(sol: Solution, t: float, xs) -> Sample:
     """Evaluate u and the regular part of v at positions ``xs`` (the
-    one-row case of ``fields``), with the atoms alive at t.  ``t`` is a
-    single time; ``Sample.t`` holds it as a float."""
+    one-row case of ``fields``, in the epoch in force at t), with the atoms
+    alive at t.  ``t`` is a single time; ``Sample.t`` holds it as a float."""
     t = _time(t)
-    xs = np.asarray(xs, dtype=float).reshape(-1)
-    u, v = fields(sol, t, xs)
+    xs = _xs(xs)
+    u, v = _row(sol, sol.epoch_at(t), t, xs)
     return Sample(t, xs, u[0], v[0], atoms_at(sol, t))

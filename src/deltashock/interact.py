@@ -24,6 +24,7 @@ fan-interior one.  A front reads u on each side through ``Front.u_traces``.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from typing import Optional
 
@@ -56,7 +57,7 @@ from .fronts import (
     fan_delta_trajectory,
     intersect,
 )
-from .riemann import WaveCase, classify, solve_grp, v_star
+from .riemann import WaveCase, classify, rh_deficit, solve_grp, v_star
 
 RULE_MERGE_DELTAS = "MergeDeltas"
 RULE_DELTA_CROSSES_CONTACT = "DeltaCrossesContact"
@@ -87,15 +88,39 @@ class TrackingError(RuntimeError):
     """Internal inconsistency while building a solution."""
 
 
+def validate_pair(a: State, b: State, what: str = "the states"):
+    """Raise unless the v-deficit of ``a`` and ``b`` at their mean speed, the
+    strength rate of a delta between them, is finite."""
+    rate = rh_deficit(a, b, 0.5 * (a.u + b.u))
+    if not math.isfinite(rate):
+        raise ScenarioError(
+            f"the v-deficit of {what} at their mean speed, a delta's strength "
+            f"rate, overflows to {rate} (u={a.u}, {b.u}; v={a.v}, {b.v})")
+
+
 def validate_scenario(sc: Scenario) -> tuple[int, str]:
     """Return (case id, sub-case label) or raise naming the violated inequality.
+
+    Data whose closed forms overflow are refused first: each pair must pass
+    ``validate_pair`` and the x-width the fronts can sweep by t_max be finite.
 
     offset < 0 requires the (left, middle) pair to form the delta shock;
     offset > 0 requires the (middle, right) pair to.  The other pair's wave
     structure (``classify``) then selects the case: a second delta shock
     (1), a shock-contact pair (2, 3), or a contact-rarefaction pair (4, 5).
     """
-    u = u0, u1, u2 = sc.left.u, sc.middle.u, sc.right.u
+    left, middle, right = sc.left, sc.middle, sc.right
+    u = u0, u1, u2 = left.u, middle.u, right.u
+    validate_pair(left, middle, "states 0 and 1")
+    validate_pair(middle, right, "states 1 and 2")
+    validate_pair(left, right, "states 0 and 2")
+    width = 2.0 * ((max(abs(u0), abs(u1), abs(u2)) + 1.0) * sc.t_max
+                   + abs(sc.offset) + 1.0)
+    if not math.isfinite(width):
+        raise ScenarioError(
+            f"the x-width the fronts can sweep by t_max, 2((max|u| + 1) t_max "
+            f"+ |offset| + 1), overflows (u={u}, t_max={sc.t_max}, "
+            f"offset={sc.offset})")
     neg = sc.offset < 0.0
     i, j = (0, 1) if neg else (1, 0)    # the delta pair, the other pair
     if classify(u[i], u[i + 1]) is not WaveCase.DELTA_SHOCK:
@@ -128,6 +153,10 @@ def validate_scenario(sc: Scenario) -> tuple[int, str]:
 
 
 _PendingEvent = namedtuple("_PendingEvent", "t x incoming")
+
+
+def _describe(f: Front) -> str:
+    return f"front {f.fid} ({f.kind.value}, {type(f.geom).__name__})"
 
 
 class _Tracker:
@@ -223,7 +252,12 @@ class _Tracker:
         for a, b in zip(fronts, fronts[1:]):
             if self.origins[a.fid] == self.origins[b.fid]:
                 continue
-            p = intersect(a.geom, b.geom, ep.t0)
+            try:
+                p = intersect(a.geom, b.geom, ep.t0)
+            except TypeError:           # a pair with no closed-form crossing
+                raise TrackingError(
+                    f"no crossing rule for adjacent {_describe(a)} and "
+                    f"{_describe(b)} after t={ep.t0}") from None
             if p is not None:
                 cands.append((p.t, p.x, (a.fid, b.fid)))
         return _PendingEvent(*min(cands)) if cands else None
@@ -348,6 +382,11 @@ class _Tracker:
         # remaining fan edge: the front beyond the fan region in the new order
         ep, i, j = self._slice_bounds(ev)
         far_edge = self.fronts[ep.fronts[j + 1 if fan_on_right else i - 1]]
+        if not isinstance(far_edge.geom, Line):
+            raise TrackingError(
+                f"{RULE_DELTA_ENTERS_FAN} at t={ev.t}: {_describe(delta)} "
+                f"entered the fan across {_describe(edge)}, and beyond the "
+                f"fan is {_describe(far_edge)}, not a straight fan edge")
         breaks = sign * (const.u - far_edge.geom.m) < 2.0
         if breaks:
             t_end = breakdown_time(curve, ev.t)

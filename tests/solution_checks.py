@@ -1,7 +1,8 @@
 """Checks of solutions and entropy pairs that only the tests use: the speed
 of delta contacts, the ordering after a bifurcation, a deliberately wrong
-solution for the residual oracle, the compatibility of an entropy pair, and
-the derivative of the test functions' bump.
+solution for the residual oracle, the compatibility of an entropy pair, the
+derivative of the test functions' bump, and seeded four-state data with the
+tracker run on it.
 """
 
 import math
@@ -9,7 +10,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from deltashock.core import AffineStrength, FrontKind, Solution
+from deltashock.core import AffineStrength, FrontKind, Point, Solution, State
+from deltashock.interact import _Tracker
 from deltashock.verify import _BUMP_POW, EntropyPair
 
 
@@ -77,3 +79,24 @@ def dbump(r):
     r = np.asarray(r, dtype=float)
     s = np.maximum(1.0 - r * r, 0.0)
     return -2.0 * _BUMP_POW * r * s ** (_BUMP_POW - 1)
+
+
+def four_state_draws(count: int, seed: int = 7):
+    """``count`` seeded four-state data as (states, origins): u on the
+    half-integers of [-4, 6], v in {0.5, 1, 1.5, 2}, and three distinct
+    integer origins in [-3, 4], in increasing order, at t = 0."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        u = rng.choice(np.arange(-4.0, 6.01, 0.5), 4)
+        v = rng.choice([0.5, 1.0, 1.5, 2.0], 4)
+        x = np.sort(rng.choice(np.arange(-3, 5), 3, replace=False))
+        yield (tuple(State(float(a), float(b)) for a, b in zip(u, v)),
+               tuple(Point(0.0, float(c)) for c in x))
+
+
+def track(states, origins, t_max: float = 10.0) -> Solution:
+    """The tracker's graph for N states released from N - 1 origins."""
+    tr = _Tracker()
+    tr.build_initial(states, origins)
+    tr.track()
+    return tr.solution(None, 0, f"{len(states)}-state", t_max)

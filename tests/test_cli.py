@@ -131,6 +131,38 @@ def test_overflowing_crossing_exits_0(tmp_path):
                                                   "BreakdownBifurcation"]
 
 
+_OVERFLOW = {"states": [[1e308, 1], [-1e308, 1], [-1e307, 2]], "offset": -1.0}
+_WIDE = {"states": [[4, 1], [1, 1], [3.5, 1]], "offset": -1.0, "t_max": 1e308}
+
+
+@pytest.mark.parametrize("doc, argv, quantity", [
+    pytest.param(_OVERFLOW, ["solve", "{p}", "--out", "{o}"],
+                 "v-deficit of states 0 and 1", id="solve-deficit"),
+    pytest.param(_OVERFLOW, ["verify", "{p}"], "v-deficit of states 0 and 1",
+                 id="verify-deficit"),
+    pytest.param(None, ["riemann", "--left", "1e308,1", "--right=-1e308,1"],
+                 "v-deficit of --left and --right", id="riemann-deficit"),
+    pytest.param(_WIDE, ["solve", "{p}", "--out", "{o}"], "x-width",
+                 id="solve-width"),
+    pytest.param(_WIDE, ["verify", "{p}"], "x-width", id="verify-width"),
+    pytest.param({**_WIDE, "t_max": 10.0},
+                 ["solve", "{p}", "--out", "{o}", "--t-max", "1e308"], "x-width",
+                 id="solve-t-max-width"),
+])
+def test_overflowing_data_exits_2(doc, argv, quantity, tmp_path, capsys):
+    # data whose closed forms overflow (an infinite strength rate, fronts
+    # at -inf by t_max) are refused with one line naming the quantity
+    p, out = tmp_path / "s.json", tmp_path / "o"
+    if doc is not None:
+        p.write_text(json.dumps(doc))
+    assert main([a.format(p=p, o=out) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the ") and quantity in captured.err
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_solve_writes_outputs(case1_file, tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["solve", str(case1_file), "--out", str(out), "--svg"]) == 0

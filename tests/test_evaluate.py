@@ -1,4 +1,7 @@
+import functools
 import math
+from dataclasses import replace
+from operator import itemgetter
 
 import numpy as np
 import pytest
@@ -6,7 +9,8 @@ import pytest
 from deltashock.battery import BATTERY
 from deltashock.core import Scenario, State, WCurvedV, WTildeCurvedV
 from deltashock.evaluate import atom_rows, atoms_at, fields, sample
-from deltashock.interact import fan_solution, run
+from deltashock.interact import TrackingError, fan_solution, run
+from solution_checks import four_state_draws, track
 
 
 @pytest.fixture(scope="module")
@@ -29,6 +33,20 @@ def test_case1_atoms_premerge(case1):
     assert b.alpha == pytest.approx(0.75)
     assert a.x < b.x
     assert a.alpha0 + a.alpha1 == pytest.approx(a.alpha, abs=1e-12)
+
+
+def test_atoms_at_one_x_in_front_id_order(case1):
+    # two atoms at one x, listed right to left in their epoch, come out in
+    # front-id order, as atom_rows gives them
+    ep = case1.epochs[0]
+    a, b = ep.fronts
+    fronts = {**case1.fronts, b: replace(case1.fronts[b], geom=case1.fronts[a].geom)}
+    tied = replace(case1, fronts=fronts,
+                   epochs=(replace(ep, fronts=(b, a)), *case1.epochs[1:]))
+    atoms = atoms_at(tied, 0.25)
+    assert atoms[0].x == atoms[1].x
+    assert [atom.front_id for atom in atoms] == [a, b]
+    assert [row[1] for row in atom_rows(tied, [0.25])] == [a, b]
 
 
 def test_atoms_continuous_across_merge(case1):
@@ -304,3 +322,63 @@ def test_fields_match_per_point_reference(scenario):
             for row, grid, ref in ((row_u, grid_u, ref_u), (row_v, grid_v, ref_v)):
                 assert row.dtype == float
                 assert row[0].tobytes() == grid[j].tobytes() == ref[j].tobytes()
+
+
+@functools.cache
+def _four_state_solutions(count: int = 3) -> list:
+    """Of the seeded four-state draws that solve, the ``count`` with the
+    most dead fronts."""
+    sols = []
+    for states, origins in four_state_draws(400):
+        try:
+            sols.append(track(states, origins))
+        except TrackingError:
+            pass
+    sols.sort(key=lambda sol: -sum(f.death < math.inf for f in sol.fronts.values()))
+    return sols[:count]
+
+
+def _atoms_by_scan(sol, t):
+    """(x, front_id, alpha, alpha0, alpha1) for every front the solution
+    ever had that carries an atom alive at t, by x, ties by front id."""
+    rows = [(f.geom.pos(t), f.fid, *f.atom(t)) for f in sol.fronts.values()
+            if f.strength is not None and f.alive_at(t)]
+    return sorted(rows, key=itemgetter(0, 1))
+
+
+def _bits(rows):
+    return [tuple(v.hex() if isinstance(v, float) else v for v in row)
+            for row in rows]
+
+
+@pytest.mark.parametrize("solve", [
+    *(pytest.param(functools.partial(run, sc), id=name)
+      for name, sc in BATTERY.items()),
+    pytest.param(functools.partial(run, _SIGNED_ZEROS), id="signed-zeros"),
+    *(pytest.param(lambda k=k: _four_state_solutions()[k], id=f"four-state-{k}")
+      for k in range(3)),
+])
+def test_one_time_path_matches_references(solve):
+    # sample and atoms_at read only the epoch in force at t: they must
+    # agree bitwise with the per-point fields and with a scan of every
+    # front by alive_at, at times across the epochs and at each event time
+    sol = solve()
+    ts = np.unique(np.concatenate([_times_across_epochs(sol),
+                                   [ev.t for ev in sol.events]]))
+    fronts_at = [sol.fronts[f].geom.pos(float(t))
+                 for t in ts[::5] for f in sol.epoch_at(float(t)).fronts]
+    xs = np.unique(np.concatenate([np.linspace(-5.0, 30.0, 71), fronts_at,
+                                   [ev.x for ev in sol.events]]))
+    ref_u, ref_v = _fields_per_point(sol, ts, xs)
+    dead = 0
+    for j, t in enumerate(ts.tolist()):
+        s = sample(sol, t, xs)
+        assert s.u_vals.tobytes() == ref_u[j].tobytes()
+        assert s.v_regular_vals.tobytes() == ref_v[j].tobytes()
+        scan = _atoms_by_scan(sol, t)
+        assert _bits((a.x, a.front_id, a.alpha, a.alpha0, a.alpha1)
+                     for a in s.atoms) == _bits(scan)
+        assert atoms_at(sol, t) == s.atoms
+        dead += sum(f.strength is not None and f.death <= t
+                    for f in sol.fronts.values())
+    assert dead or not sol.events

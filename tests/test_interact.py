@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 from collections import Counter
 from dataclasses import replace
 
@@ -8,8 +9,8 @@ import pytest
 
 from deltashock import interact
 from deltashock.battery import BATTERY
-from deltashock.core import (FrontKind, Line, Region, Scenario, SqrtCurve,
-                             State, WStraightV)
+from deltashock.core import (FrontKind, Line, Region, Scenario, Solution,
+                             SqrtCurve, State, WStraightV)
 from deltashock.fronts import breakdown_time
 from deltashock.interact import (ScenarioError, TrackingError, run,
                                  validate_scenario)
@@ -23,7 +24,7 @@ from deltashock.verify import (
     overcompressibility_report,
     weak_residual,
 )
-from solution_checks import delta_contact_slope_error
+from solution_checks import delta_contact_slope_error, four_state_draws, track
 
 
 def sc(u0, u1, u2, offset, v=(1.0, 1.0, 1.0)):
@@ -570,3 +571,24 @@ def test_fan_interior_spawn_margins_never_shrink():
                 rounding = 4.0 * np.finfo(float).eps * (1.0 + np.abs(margin))
                 assert np.all(np.diff(margin) >= -rounding[1:])
     assert checked == 703
+
+
+def test_four_state_draws_end_in_a_solution_or_a_tracking_error():
+    # rules for four-state data are incomplete: a draw may stop, but only
+    # with a TrackingError, where a curve beyond a fan, or two curves with
+    # no crossing rule, once raised AttributeError and TypeError
+    ends = Counter()
+    for states, origins in four_state_draws(400):
+        try:
+            ends[type(track(states, origins))] += 1
+        except TrackingError as exc:
+            text = str(exc)
+            end = next((e for e in ("not a straight fan edge", "no crossing rule")
+                        if e in text), TrackingError)
+            if end is not TrackingError:    # naming each front and its kind
+                named = re.findall(r"front \d+ \([a-z_]+, [A-Za-z]+\)", text)
+                assert len(named) >= 2
+            ends[end] += 1
+    assert set(ends) == {Solution, TrackingError, "not a straight fan edge",
+                         "no crossing rule"}
+    assert ends[Solution] >= 100
